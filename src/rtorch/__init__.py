@@ -1,54 +1,4 @@
 """Probabilistic admission control, seeded scheduling simulation and runtime
 monitoring for hard real-time tasks packed onto shared CPUs."""
 
-from .admission import AdmissionVerdict, admit, edf_bound, rm_bound
-from .model import (
-    AllocationPlan,
-    Criticality,
-    ExecModel,
-    MixtureMode,
-    Policy,
-    ResourceLoad,
-    ResourceState,
-    TaskSpec,
-    utilization,
-    validate_task,
-)
-from .orchestration import (
-    DEFAULT_THRESHOLDS,
-    OrchestratorConfig,
-    OrchestratorHook,
-    ReallocationDecision,
-    Strategy,
-    SystemView,
-    build_plan,
-    evaluate_epoch,
-    first_fit_plan,
-    mc_reallocate,
-    naive_reallocate,
-    orchestrate_step,
-    select_victim,
-)
-from .probability import (
-    NormalParams,
-    StreamingFit,
-    buffer,
-    joint_utilization,
-    ks_statistic,
-    miss_probability,
-    std_normal_cdf,
-)
-from .reporting import RunReport, TaskStats, build_report, export_histogram, histogram_modes, render_table
-from .scenario import Scenario, ScenarioError, SimSettings, load_scenario, parse_scenario
-from .simulation import (
-    Interference,
-    Job,
-    NoiseModel,
-    PlanUpdate,
-    SimSnapshot,
-    SimTrace,
-    run_sim,
-    sample_runtime,
-)
-
 __version__ = "0.1.0"

@@ -51,6 +51,16 @@ def runtime_params(task: TaskSpec, fitted: Mapping[str, NormalParams] | None) ->
     return NormalParams(float(m.mu_us), float(m.sigma_us))
 
 
+def group_miss_prob(
+    tasks: Sequence[TaskSpec], u_max: float, fits: Mapping[str, NormalParams] | None
+) -> float:
+    """P(group utilization > u_max) from fitted (else declared) runtimes; 0 for no tasks."""
+    if not tasks:
+        return 0.0
+    joint = joint_utilization([(runtime_params(t, fits), t.period_us) for t in tasks])
+    return miss_probability(joint, u_max)
+
+
 def admit(
     resource: ResourceState,
     hosted: Sequence[TaskSpec],
@@ -60,17 +70,11 @@ def admit(
 ) -> AdmissionVerdict:
     """Test whether ``candidate`` fits on ``resource`` next to ``hosted`` tasks.
 
-    ``hosted`` must cover every task id the resource declares (a declared id
-    with no known task is an error).  ``fitted`` maps task ids to
-    measured runtime distributions in microseconds; tasks without a fit use
-    their declared execution model.
+    ``fitted`` maps task ids to measured runtime distributions in
+    microseconds; tasks without a fit use their declared execution model.
     """
-    hosted_ids = {t.id for t in hosted}
-    if candidate.id in hosted_ids:
+    if any(t.id == candidate.id for t in hosted):
         raise ValueError(f"task '{candidate.id}' already hosted on '{resource.id}'")
-    for tid in sorted(resource.tasks):
-        if tid not in hosted_ids:
-            raise ValueError(f"unknown task '{tid}' declared on resource '{resource.id}'")
 
     group = list(hosted) + [candidate]
     util_sum = math.fsum(t.budget_us / t.period_us for t in group)
@@ -79,8 +83,7 @@ def admit(
     else:
         bound = resource.u_max
 
-    joint = joint_utilization([(runtime_params(t, fitted), t.period_us) for t in group])
-    prob = miss_probability(joint, resource.u_max)
+    prob = group_miss_prob(group, resource.u_max, fitted)
 
     problems = []
     if util_sum > bound:

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .admission import admit
-from .model import Criticality, validate_task
+from .model import Criticality
 from .orchestration import (
     InfeasibleError,
     OrchestratorHook,
@@ -28,9 +28,9 @@ from .orchestration import (
 )
 from .probability import (
     GOODNESS_POOR,
-    NormalParams,
-    StreamingFit,
+    fit_normal,
     joint_utilization,
+    ks_statistic,
     miss_probability,
 )
 from .reporting import build_report, export_histogram, write_report_json
@@ -86,12 +86,6 @@ def _initial_assignments(scenario: Scenario) -> dict[str, str]:
     """Explicit plan if the scenario carries one, else first-fit by declining utilization."""
     if scenario.initial_plan is not None:
         return dict(scenario.initial_plan)
-    declared = {tid: r.id for r in scenario.resources for tid in r.tasks}
-    if declared:
-        missing = sorted({t.id for t in scenario.tasks} - set(declared))
-        if missing:
-            raise ScenarioError(f"resources declare a partial assignment; unassigned: {', '.join(missing)}")
-        return declared
     return first_fit_plan(scenario.tasks, scenario.resources, scenario.orchestrator.thresholds)
 
 
@@ -134,7 +128,7 @@ def cmd_simulate(args) -> int:
     log.info("wrote %s", out)
 
     hard_tasks = {t.id for t in scenario.tasks if t.criticality is Criticality.HARD}
-    hard_misses = sum(n for tid, n in trace.miss_counts().items() if tid in hard_tasks)
+    hard_misses = sum(report.per_task[tid].miss_count for tid in hard_tasks)
     if hard_misses:
         print(f"{hard_misses} hard deadline miss(es); outputs in {out}")
         return EXIT_HARD_MISS
@@ -162,16 +156,13 @@ def cmd_analyze(args) -> int:
 
     models = []
     for tid, values in samples.items():
-        fit = StreamingFit()
-        for v in values:
-            fit.update(v)
-        try:
-            params, goodness = fit.to_normal()
-        except ValueError:
-            print(f"error: task '{tid}' has {fit.count} samples; need at least 30", file=sys.stderr)
+        if len(values) < 30:
+            print(f"error: task '{tid}' has {len(values)} samples; need at least 30", file=sys.stderr)
             return EXIT_INPUT
+        params = fit_normal(values)
+        goodness = ks_statistic(values, params)
         flag = "  WARNING: poor normal fit" if goodness > GOODNESS_POOR else ""
-        print(f"task {tid}: n={fit.count} mu={params.mu:.1f}us sigma={params.sigma:.1f}us "
+        print(f"task {tid}: n={len(values)} mu={params.mu:.1f}us sigma={params.sigma:.1f}us "
               f"goodness={goodness:.4f}{flag}")
         models.append((params, periods[tid]))
 

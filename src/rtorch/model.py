@@ -130,7 +130,6 @@ class ResourceState:
     policy: Policy = Policy.EDF
     u_max: float = 1.0
     criticality: Criticality = Criticality.HARD
-    tasks: frozenset[str] = frozenset()
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -138,7 +137,6 @@ class ResourceState:
             "policy": self.policy.value,
             "u_max": self.u_max,
             "criticality": self.criticality.value,
-            "tasks": sorted(self.tasks),
         }
 
     @classmethod
@@ -148,7 +146,6 @@ class ResourceState:
             policy=Policy(data.get("policy", "EDF")),
             u_max=float(data.get("u_max", 1.0)),
             criticality=Criticality(data.get("criticality", "hard")),
-            tasks=frozenset(data.get("tasks", ())),
         )
 
 

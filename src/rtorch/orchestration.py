@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .admission import AdmissionVerdict, admit, runtime_params
+from .admission import admit, group_miss_prob
 from .model import (
     AllocationPlan,
     Criticality,
@@ -27,8 +27,8 @@ from .model import (
     ResourceState,
     TaskSpec,
 )
-from .probability import NormalParams, buffer, joint_utilization, miss_probability
-from .simulation import PlanUpdate, SimHook, SimSnapshot
+from .probability import NormalParams, buffer, fit_normal
+from .simulation import PlanUpdate, SimSnapshot
 
 DEFAULT_THRESHOLDS: Mapping[Criticality, float] = {
     Criticality.HARD: 1e-4,
@@ -84,11 +84,11 @@ class SystemView:
     next_deadline_us: Mapping[str, int] = field(default_factory=dict)
     cooldown: frozenset[str] = frozenset()
 
-    def hosted(self, rid: str, include_evicted: bool = False) -> list[TaskSpec]:
+    def hosted(self, rid: str) -> list[TaskSpec]:
         return [
             self.tasks[tid]
             for tid, r in self.assignments.items()
-            if r == rid and (include_evicted or tid not in self.evicted)
+            if r == rid and tid not in self.evicted
         ]
 
 
@@ -107,21 +107,12 @@ def group_threshold(tasks: Sequence[TaskSpec], thresholds: Mapping[Criticality, 
     return min(thresholds[t.criticality] for t in tasks)
 
 
-def _group_miss_prob(
-    tasks: Sequence[TaskSpec], u_max: float, fits: Mapping[str, NormalParams]
-) -> float:
-    if not tasks:
-        return 0.0
-    joint = joint_utilization([(runtime_params(t, fits), t.period_us) for t in tasks])
-    return miss_probability(joint, u_max)
-
-
 def evaluate_epoch(view: SystemView, config: OrchestratorConfig) -> list[EpochEval]:
     """Per-resource miss probability against the strictest hosted threshold."""
     out = []
     for rid, res in view.resources.items():
         hosted = view.hosted(rid)
-        prob = _group_miss_prob(hosted, res.u_max, view.fits)
+        prob = group_miss_prob(hosted, res.u_max, view.fits)
         thr = group_threshold(hosted, config.thresholds)
         out.append(EpochEval(rid, prob, thr, prob > thr))
     return out
@@ -167,7 +158,7 @@ def naive_reallocate(
     victim = view.tasks[victim_id]
     host_rid = view.assignments[victim_id]
     host = view.resources[host_rid]
-    trigger_prob = _group_miss_prob(view.hosted(host_rid), host.u_max, view.fits)
+    trigger_prob = group_miss_prob(view.hosted(host_rid), host.u_max, view.fits)
     trigger = (host_rid, trigger_prob, group_threshold(view.hosted(host_rid), thresholds))
 
     best: tuple[float, str] | None = None
@@ -203,37 +194,23 @@ def naive_reallocate(
     )
 
 
-def _objective(
-    groups: Mapping[str, list[TaskSpec]],
-    resources: Mapping[str, ResourceState],
-    fits: Mapping[str, NormalParams],
-    thresholds: Mapping[Criticality, float],
-) -> tuple[int, float, int]:
-    """(breached resources, worst miss probability, occupied resources): less is better."""
-    breached = 0
-    worst = 0.0
-    occupied = 0
-    for rid, res in resources.items():
-        hosted = groups.get(rid, [])
-        if not hosted:
-            continue
-        occupied += 1
-        prob = _group_miss_prob(hosted, res.u_max, fits)
-        if prob > worst:
-            worst = prob
-        if prob > group_threshold(hosted, thresholds):
-            breached += 1
-    return (breached, worst, occupied)
-
-
 def plan_objective(view: SystemView, assignments: Mapping[str, str],
                    thresholds: Mapping[Criticality, float]) -> tuple[int, float, int]:
+    """(breached resources, worst miss probability, occupied resources): less is better."""
     groups: dict[str, list[TaskSpec]] = {}
     for tid, rid in assignments.items():
         if tid in view.evicted:
             continue
         groups.setdefault(rid, []).append(view.tasks[tid])
-    return _objective(groups, view.resources, view.fits, thresholds)
+    breached = 0
+    worst = 0.0
+    for rid, hosted in groups.items():
+        prob = group_miss_prob(hosted, view.resources[rid].u_max, view.fits)
+        if prob > worst:
+            worst = prob
+        if prob > group_threshold(hosted, thresholds):
+            breached += 1
+    return (breached, worst, len(groups))
 
 
 def mc_reallocate(
@@ -274,7 +251,6 @@ def build_plan(
     evicted: frozenset[str] = frozenset(),
 ) -> AllocationPlan:
     """Assemble an AllocationPlan, computing fresh per-resource load summaries."""
-    fits = fits or {}
     groups: dict[str, list[TaskSpec]] = {rid: [] for rid in resources}
     for tid, rid in assignments.items():
         if tid not in evicted:
@@ -284,21 +260,20 @@ def build_plan(
         hosted = groups[rid]
         per_resource[rid] = ResourceLoad(
             buffer=buffer(hosted),
-            miss_prob=_group_miss_prob(hosted, res.u_max, fits),
+            miss_prob=group_miss_prob(hosted, res.u_max, fits),
         )
     return AllocationPlan(assignments=dict(assignments), per_resource=per_resource)
 
 
 def orchestrate_step(
-    view: SystemView, config: OrchestratorConfig, mc_seed: int = 0
+    view: SystemView, config: OrchestratorConfig, evals: Sequence[EpochEval], mc_seed: int = 0
 ) -> Optional[ReallocationDecision]:
-    """One monitoring epoch: detect the worst breach and decide on a move.
+    """One monitoring epoch: act on the worst breach in ``evals`` (from ``evaluate_epoch``).
 
     Returns None when nothing breaches.  With no admissible destination (or
     every candidate victim on cooldown) the decision carries an empty move
     list so the escalation still gets logged.
     """
-    evals = evaluate_epoch(view, config)
     breaches = [e for e in evals if e.breached]
     if not breaches:
         return None
@@ -322,7 +297,7 @@ def orchestrate_step(
 def window_fits(
     runtimes: Mapping[str, Sequence[int]], fit_window: int, min_count: int = MIN_FIT_SAMPLES
 ) -> dict[str, NormalParams]:
-    """Two-pass fit over each task's most recent ``fit_window`` samples.
+    """Normal fit over each task's most recent ``fit_window`` samples.
 
     Tasks with fewer than ``min_count`` samples get no entry, so consumers
     fall back to the declared execution model.
@@ -332,9 +307,7 @@ def window_fits(
         window = samples[-fit_window:]
         if len(window) < min_count:
             continue
-        mean = statistics.fmean(window)
-        sigma = statistics.stdev(window) if len(window) > 1 else 0.0
-        fits[tid] = NormalParams(mean, sigma)
+        fits[tid] = fit_normal(window)
     return fits
 
 
@@ -379,7 +352,7 @@ class OrchestratorHook:
             cooldown=cooldown,
         )
         evals = evaluate_epoch(view, self.config)
-        decision = orchestrate_step(view, self.config, mc_seed=self.base_seed + self._epoch)
+        decision = orchestrate_step(view, self.config, evals, mc_seed=self.base_seed + self._epoch)
         self.records.append({
             "time_us": snapshot.now_us,
             "per_resource": {e.resource: e.miss_prob for e in evals},

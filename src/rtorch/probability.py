@@ -87,50 +87,46 @@ def ks_statistic(samples: Sequence[float], params: NormalParams) -> float:
     return float(max(d_plus, d_minus))
 
 
+def fit_normal(samples: Sequence[float]) -> NormalParams:
+    """Sample mean and unbiased standard deviation.
+
+    A constant stream (one sample included) fits exactly, with sigma 0.
+    """
+    xs = np.asarray(samples, dtype=np.float64)
+    if xs.min() == xs.max():
+        return NormalParams(float(xs[0]), 0.0)
+    return NormalParams(float(xs.mean()), float(xs.std(ddof=1)))
+
+
 @dataclass
 class StreamingFit:
-    """Single-pass (Welford) accumulator for runtime samples.
+    """Runtime samples collected one at a time and fitted with ``fit_normal``.
 
-    Tracks count, mean, sum of squared deviations (m2) and the observed range.
     Samples are retained so ``to_normal`` can score the fit with a KS
     statistic; memory grows linearly with the stream (fine for analysis runs,
-    the orchestrator refits over bounded windows instead).  One writer per
-    stream; readers take cheap snapshots of the summary fields.
+    the orchestrator refits over bounded windows instead).
     """
 
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-    min_seen: float = math.inf
-    max_seen: float = -math.inf
     _samples: list[float] = field(default_factory=list, repr=False)
 
     def update(self, sample: float) -> None:
-        x = float(sample)
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
-        if x < self.min_seen:
-            self.min_seen = x
-        if x > self.max_seen:
-            self.max_seen = x
-        self._samples.append(x)
+        self._samples.append(float(sample))
 
     @property
-    def variance(self) -> float:
-        """Unbiased sample variance (0 for fewer than two samples)."""
-        if self.count < 2:
-            return 0.0
-        return self.m2 / (self.count - 1)
+    def count(self) -> int:
+        return len(self._samples)
+
+    @property
+    def mean(self) -> float:
+        return fit_normal(self._samples).mu
 
     @property
     def stddev(self) -> float:
-        return math.sqrt(self.variance)
+        return fit_normal(self._samples).sigma
 
     def to_normal(self, min_count: int = 30) -> tuple[NormalParams, float]:
         """Fitted NormalParams plus KS goodness-of-fit (smaller is better)."""
         if self.count < min_count:
             raise ValueError("insufficient samples")
-        params = NormalParams(self.mean, self.stddev)
+        params = fit_normal(self._samples)
         return params, ks_statistic(self._samples, params)

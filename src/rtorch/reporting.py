@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.signal import find_peaks
 
+from .probability import fit_normal
 from .simulation import SimTrace
 
 
@@ -82,13 +83,11 @@ def build_report(trace: SimTrace, bin_width_us: int = 10) -> RunReport:
     for tid, samples in trace.per_task_runtimes.items():
         if not samples:
             raise ValueError(f"task '{tid}' completed no jobs")
-        n = len(samples)
-        mean = math.fsum(samples) / n
-        var = math.fsum((x - mean) ** 2 for x in samples) / (n - 1) if n > 1 else 0.0
+        fit = fit_normal(samples)
         per_task[tid] = TaskStats(
-            count=n,
-            mean_us=mean,
-            stddev_us=math.sqrt(var),
+            count=len(samples),
+            mean_us=fit.mu,
+            stddev_us=fit.sigma,
             min_us=min(samples),
             max_us=max(samples),
             miss_count=misses[tid],

@@ -62,15 +62,6 @@ def _require(data: Mapping[str, Any], key: str, where: str) -> Any:
     return data[key]
 
 
-def _int_field(data: Mapping[str, Any], key: str, where: str, minimum: int | None = None) -> int:
-    value = _require(data, key, where)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ScenarioError(f"{where}.{key}: expected integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ScenarioError(f"{where}.{key}: must be >= {minimum}, got {value}")
-    return value
-
-
 def _parse_noise(data: Mapping[str, Any] | None, where: str) -> NoiseModel:
     if data is None:
         return NoiseModel()

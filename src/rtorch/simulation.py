@@ -23,8 +23,8 @@ with work outstanding.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -78,7 +78,6 @@ class Job:
     first_start_us: int = -1
     measure_start_us: int = -1
     done: bool = False
-    missed: bool = False
 
 
 @dataclass
@@ -105,7 +104,6 @@ class SimSnapshot:
     evicted: frozenset[str]
     next_deadline_us: Mapping[str, int]
     runtimes: Mapping[str, Sequence[int]]
-    miss_counts: Mapping[str, int]
 
 
 @dataclass(frozen=True)
@@ -199,7 +197,6 @@ def run_sim(
     rng = np.random.default_rng(seed)
     events: list[tuple[int, str, str, str]] = []
     runtimes: dict[str, list[int]] = {t.id: [] for t in tasks}
-    miss_counts: dict[str, int] = {t.id: 0 for t in tasks}
     open_jobs: dict[str, list[Job]] = {t.id: [] for t in tasks}
     next_release: dict[str, int] = {t.id: 0 for t in tasks}
     evicted: set[str] = set()
@@ -282,7 +279,6 @@ def run_sim(
             evicted=frozenset(evicted),
             next_deadline_us=nd,
             runtimes=runtimes,
-            miss_counts=dict(miss_counts),
         )
 
     for t in tasks:
@@ -348,8 +344,6 @@ def run_sim(
         elif kind == "deadline":
             job = payload[1]
             if not job.done:
-                job.missed = True
-                miss_counts[job.task] += 1
                 events.append((now, "deadline_miss", job.task, job.resource))
 
         elif kind == "ifr_start":

@@ -106,13 +106,6 @@ def test_rejects_candidate_already_hosted():
         admit(cpu, [t], t, threshold=1e-4)
 
 
-def test_rejects_resource_declaring_unknown_task():
-    t = make_task("t0", 100_000, 10_000, 1_000)
-    cpu = ResourceState(id="cpu0", policy=Policy.EDF, u_max=1.0, tasks=frozenset({"ghost"}))
-    with pytest.raises(ValueError, match="ghost"):
-        admit(cpu, [], t, threshold=1e-4)
-
-
 @st.composite
 def admission_groups(draw):
     n = draw(st.integers(2, 6))

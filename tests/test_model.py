@@ -53,7 +53,6 @@ def resource_states():
         policy=st.sampled_from(list(Policy)),
         u_max=st.floats(0.01, 1.0),
         criticality=st.sampled_from(list(Criticality)),
-        tasks=st.frozensets(st.text(min_size=1, max_size=4), max_size=4),
     )
 
 

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rtorch import orchestration
 from rtorch.model import Criticality, ExecModel, Policy, ResourceState, TaskSpec
 from rtorch.orchestration import (
     COOLDOWN_EPOCHS,
@@ -227,7 +229,7 @@ def test_step_returns_none_without_breach():
     config = OrchestratorConfig(thresholds=RELAXED)
     evals = evaluate_epoch(view, config)
     assert not any(e.breached for e in evals)
-    assert orchestrate_step(view, config) is None
+    assert orchestrate_step(view, config, evals) is None
 
 
 def test_step_skips_victims_on_cooldown():
@@ -237,13 +239,13 @@ def test_step_skips_victims_on_cooldown():
     fits = {"a": NormalParams(55_000.0, 2_000.0), "b": NormalParams(55_000.0, 2_000.0)}
     config = OrchestratorConfig()
     free = mk_view([a, b], cpus, {"a": "cpu0", "b": "cpu0"}, fits)
-    assert orchestrate_step(free, config).moved == (("a", "cpu0", "cpu1"),)
+    assert orchestrate_step(free, config, evaluate_epoch(free, config)).moved == (("a", "cpu0", "cpu1"),)
     held = mk_view([a, b], cpus, {"a": "cpu0", "b": "cpu0"}, fits,
                    cooldown=frozenset({"a"}))
-    assert orchestrate_step(held, config).moved == (("b", "cpu0", "cpu1"),)
+    assert orchestrate_step(held, config, evaluate_epoch(held, config)).moved == (("b", "cpu0", "cpu1"),)
     frozen = mk_view([a, b], cpus, {"a": "cpu0", "b": "cpu0"}, fits,
                      cooldown=frozenset({"a", "b"}))
-    decision = orchestrate_step(frozen, config)
+    decision = orchestrate_step(frozen, config, evaluate_epoch(frozen, config))
     assert decision is not None
     assert decision.moved == ()
 
@@ -268,6 +270,12 @@ def test_window_fit_matches_streaming_statistics():
     import statistics as stats
     assert fits["a"].mu == pytest.approx(stats.fmean(samples))
     assert fits["a"].sigma == pytest.approx(stats.stdev(samples))
+
+
+def test_window_fit_accepts_numpy_integers():
+    samples = np.arange(50, 150, dtype=np.int64)
+    fits = window_fits({"a": list(samples)}, fit_window=1024)
+    assert fits == window_fits({"a": [int(x) for x in samples]}, fit_window=1024)
 
 
 def test_first_fit_packs_by_declining_utilization():
@@ -334,6 +342,20 @@ def test_hook_relocates_camera_once_and_misses_drop():
     assert len(hook.records) == 29
     # the demoted task keeps finishing work in the leftover slack
     assert len(managed.per_task_runtimes["bg_worker"]) > 100
+
+
+def test_hook_evaluates_each_epoch_once(monkeypatch):
+    calls = []
+    evaluate = orchestration.evaluate_epoch
+
+    def counting(view, config):
+        calls.append(view.now_us)
+        return evaluate(view, config)
+
+    monkeypatch.setattr(orchestration, "evaluate_epoch", counting)
+    _trace, hook = conveyor_sim(5_000_000, seed=5, with_hook=True)
+    assert len(hook.records) == 4
+    assert calls == [r["time_us"] for r in hook.records]
 
 
 def test_cooldown_constant_spans_two_epochs():

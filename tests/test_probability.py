@@ -10,6 +10,7 @@ from rtorch.probability import (
     NormalParams,
     StreamingFit,
     buffer,
+    fit_normal,
     joint_utilization,
     ks_statistic,
     miss_probability,
@@ -119,6 +120,24 @@ def test_joint_permutation_invariant(order):
     assert shuffled.sigma == base.sigma
 
 
+@pytest.mark.parametrize("samples", [
+    np.maximum(np.random.default_rng(7).normal(10_000, 50, 100_000), 9_900).tolist(),
+    np.random.default_rng(8).integers(9_000, 11_000, 5_000).tolist(),
+    [12_345],
+    [3.0, 5.0],
+    [42] * 50,
+    [0.1] * 1_000,
+], ids=["float", "int", "n1", "n2", "constant_int", "constant_float"])
+def test_fit_normal_matches_two_pass(samples):
+    fit = fit_normal(samples)
+    mean, var = two_pass_stats(samples)
+    assert fit.mu == pytest.approx(mean, rel=1e-12)
+    assert fit.sigma ** 2 == pytest.approx(var, rel=1e-12, abs=1e-24)
+    assert min(samples) <= fit.mu <= max(samples)
+    if len(set(samples)) == 1:
+        assert fit.sigma == 0.0
+
+
 def test_streaming_fit_matches_two_pass():
     rng = np.random.default_rng(7)
     samples = np.maximum(rng.normal(10_000, 50, 100_000), 9_900)
@@ -127,9 +146,7 @@ def test_streaming_fit_matches_two_pass():
         fit.update(float(x))
     mean, var = two_pass_stats(samples.tolist())
     assert fit.mean == pytest.approx(mean, rel=1e-9)
-    assert fit.variance == pytest.approx(var, rel=1e-9)
-    assert abs(fit.mean - mean) < 5.0
-    assert fit.min_seen <= fit.mean <= fit.max_seen
+    assert fit.stddev == pytest.approx(math.sqrt(var), rel=1e-9)
     assert fit.count == 100_000
 
 
