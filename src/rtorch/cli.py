@@ -176,6 +176,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    if args.mc_samples is not None and args.mc_samples < 1:
+        print(f"error: --mc-samples: expected positive integer, got {args.mc_samples}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         scenario = load_scenario(args.scenario)
     except ScenarioError as exc:

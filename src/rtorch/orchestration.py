@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .admission import admit, group_miss_prob
+from .admission import admit, group_miss_prob, runtime_params
 from .model import (
     AllocationPlan,
     Criticality,
@@ -27,7 +27,7 @@ from .model import (
     ResourceState,
     TaskSpec,
 )
-from .probability import NormalParams, buffer, fit_normal
+from .probability import ULP, NormalParams, buffer, fit_normal, miss_probability_bounds
 from .simulation import PlanUpdate, SimSnapshot
 
 DEFAULT_THRESHOLDS: Mapping[Criticality, float] = {
@@ -38,6 +38,8 @@ DEFAULT_THRESHOLDS: Mapping[Criticality, float] = {
 
 MIN_FIT_SAMPLES = 30
 COOLDOWN_EPOCHS = 2
+# Monte Carlo samples drawn and screened at once; bounds the search's memory to O(block x tasks)
+_MC_BLOCK = 256
 
 
 class Strategy(Enum):
@@ -223,24 +225,108 @@ def mc_reallocate(
 
     Tasks on cooldown keep their incumbent placement; the rest are assigned
     uniformly at random each sample.  The incumbent is always evaluated, so
-    the returned plan's objective is <= the incumbent's.
+    the returned plan's objective is <= the incumbent's.  Of several equally
+    good samples the earliest wins.
+
+    Samples are drawn and screened in blocks of ``_MC_BLOCK``: a vectorized
+    pass bounds each sample's objective from both sides, and only samples
+    whose lower bound could still beat the best plan so far are scored
+    exactly by ``plan_objective``, in sample order.  The result is the plan
+    a sample-by-sample scan with ``plan_objective`` would keep.
     """
     res_ids = list(view.resources)
     movable = [tid for tid in view.tasks if tid not in view.cooldown]
     rng = np.random.default_rng(seed)
+    screen = _ObjectiveScreen(view, thresholds, movable, res_ids)
 
     best_assign = dict(view.assignments)
     best_obj = plan_objective(view, best_assign, thresholds)
-    for _ in range(mc_samples):
-        candidate = dict(view.assignments)
-        picks = rng.integers(0, len(res_ids), size=len(movable))
-        for tid, idx in zip(movable, picks):
-            candidate[tid] = res_ids[idx]
-        obj = plan_objective(view, candidate, thresholds)
-        if obj < best_obj:
-            best_obj = obj
-            best_assign = candidate
+    index = {rid: i for i, rid in enumerate(res_ids)}
+    # the incumbent as a pick row; -1 (never drawn) for a task it does not place
+    best_row = np.array([index.get(view.assignments.get(tid), -1) for tid in movable], dtype=np.int64)
+    for start in range(0, mc_samples, _MC_BLOCK):
+        picks = rng.integers(0, len(res_ids), size=(min(_MC_BLOCK, mc_samples - start), len(movable)))
+        lows, highs = screen.bounds(picks)
+        # no sample whose lower bound exceeds some sample's upper bound is a minimum
+        cap = min(best_obj, *highs)
+        scored = {best_row.tobytes()}
+        for i, low in enumerate(lows):
+            if low > cap or low >= best_obj:
+                continue
+            row = picks[i]
+            key = row.tobytes()
+            if key in scored:  # same assignment as one already scored: cannot be strictly better
+                continue
+            scored.add(key)
+            candidate = dict(view.assignments)
+            candidate.update(zip(movable, (res_ids[idx] for idx in row)))
+            obj = plan_objective(view, candidate, thresholds)
+            if obj < best_obj:
+                best_obj, best_assign, best_row = obj, candidate, row
     return build_plan(best_assign, view.tasks, view.resources, view.fits, view.evicted)
+
+
+class _ObjectiveScreen:
+    """Guaranteed bounds on ``plan_objective`` for a block of sampled assignments.
+
+    Per (sample, resource) it sums utilization mean and variance and counts
+    hosted tasks and criticality levels with ``np.bincount``.  Those sums are
+    not ``fsum``-exact: each carries the rounding-error bound of a recursive
+    sum of its terms into ``miss_probability_bounds``.
+    """
+
+    def __init__(self, view: SystemView, thresholds: Mapping[Criticality, float],
+                 movable: Sequence[str], res_ids: Sequence[str]):
+        index = {rid: i for i, rid in enumerate(res_ids)}
+        moving = set(movable)
+        # the columns plan_objective groups: drawn tasks, then pinned ones, never evicted ones
+        self.cols = np.array([k for k, tid in enumerate(movable) if tid not in view.evicted], dtype=np.intp)
+        pinned = [tid for tid in view.assignments if tid not in moving and tid not in view.evicted]
+        self.pinned = np.array([index[view.assignments[tid]] for tid in pinned], dtype=np.int64)
+        tasks = [view.tasks[movable[k]] for k in self.cols] + [view.tasks[tid] for tid in pinned]
+        # the terms joint_utilization sums, computed the same way
+        params = [runtime_params(t, view.fits) for t in tasks]
+        self.mu = np.array([p.mu / t.period_us for p, t in zip(params, tasks)])
+        self.var = np.array([(p.sigma / t.period_us) ** 2 for p, t in zip(params, tasks)])
+        # strictest level last, so it overwrites the others where present
+        levels = sorted({t.criticality for t in tasks}, key=lambda c: -thresholds[c])
+        self.levels = [
+            (thresholds[c], np.array([k for k, t in enumerate(tasks) if t.criticality is c], dtype=np.intp))
+            for c in levels
+        ]
+        self.u_max = np.array([view.resources[rid].u_max for rid in res_ids])
+
+    def bounds(self, picks: np.ndarray) -> tuple[list[tuple], list[tuple]]:
+        """Lower and upper (breached, worst, occupied) bounds, one pair per row of ``picks``."""
+        n, n_res = len(picks), len(self.u_max)
+        pinned = np.broadcast_to(self.pinned, (n, len(self.pinned)))
+        cells = np.concatenate([picks[:, self.cols], pinned], axis=1)
+        cells += np.arange(n)[:, None] * n_res
+
+        def per_cell(columns=slice(None), weights=None):
+            flat = cells[:, columns].ravel()
+            if weights is not None:
+                weights = np.tile(weights, n)
+            return np.bincount(flat, weights, minlength=n * n_res).reshape(n, n_res)
+
+        count = per_cell()
+        mu = per_cell(weights=self.mu)
+        var = per_cell(weights=self.var)
+        slack = (count + 4) * ULP
+        mu_err = slack * per_cell(weights=np.abs(self.mu))
+        var_err = slack * var
+        threshold = np.full((n, n_res), np.inf)
+        for value, columns in self.levels:
+            threshold[per_cell(columns) > 0] = value
+
+        p_lo, p_hi = miss_probability_bounds(mu, mu_err, var, var_err, self.u_max)
+        occupied = count > 0
+        p_lo = np.where(occupied, p_lo, 0.0)
+        p_hi = np.where(occupied, p_hi, 0.0)
+        n_occupied = occupied.sum(axis=1).tolist()
+        lows = list(zip((p_lo > threshold).sum(axis=1).tolist(), p_lo.max(axis=1).tolist(), n_occupied))
+        highs = list(zip((p_hi > threshold).sum(axis=1).tolist(), p_hi.max(axis=1).tolist(), n_occupied))
+        return lows, highs
 
 
 def build_plan(

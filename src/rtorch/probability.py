@@ -13,10 +13,17 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.special import erfc
 
 from .model import TaskSpec
 
 _SQRT2 = math.sqrt(2.0)
+# float64 machine epsilon, twice the unit roundoff
+ULP = 2.0 ** -52
+# scipy's erfc agrees with math.erfc to ~6e-14 relative above 1e-300 and only
+# absolutely below it, so vectorized tails are widened by both margins
+_TAIL_REL = 1e-6
+_TAIL_ABS = 1e-300
 
 # fit quality below which a sample stream is considered well described by a
 # single normal; above _GOODNESS_POOR the fit is unusable (e.g. bimodal data)
@@ -62,6 +69,34 @@ def miss_probability(joint: NormalParams, u_max: float) -> float:
     return 0.5 * math.erfc(z / _SQRT2)
 
 
+def miss_probability_bounds(
+    mu: np.ndarray, mu_err: np.ndarray, var: np.ndarray, var_err: np.ndarray, u_max: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise bounds on ``miss_probability`` for many groups at once.
+
+    ``mu`` and ``var`` approximate each group's utilization mean and variance
+    to within ``mu_err`` and ``var_err`` of the sums ``joint_utilization``
+    returns.  The bounds hold for every mean and variance in those ranges,
+    allow for rounding in the square root and quotient, and are widened for
+    the difference between scipy's and math's erfc.  A group with variance
+    exactly 0 gets 0 or 1, or [0, 1] when its mean is within error of u_max.
+    """
+    det = var == 0.0
+    s_lo = np.where(det, 1.0, np.sqrt(var - var_err) * (1.0 - 8 * ULP))
+    s_hi = np.where(det, 1.0, np.sqrt(var + var_err) * (1.0 + 8 * ULP))
+    gap_lo = u_max - (mu + mu_err)
+    gap_hi = u_max - (mu - mu_err)
+    z_lo = np.minimum(gap_lo / s_lo, gap_lo / s_hi)
+    z_hi = np.maximum(gap_hi / s_lo, gap_hi / s_hi)
+    z_lo -= 8 * ULP * np.abs(z_lo)
+    z_hi += 8 * ULP * np.abs(z_hi)
+    p_lo = np.maximum(0.5 * erfc(z_hi / _SQRT2) * (1.0 - _TAIL_REL) - _TAIL_ABS, 0.0)
+    p_hi = np.minimum(0.5 * erfc(z_lo / _SQRT2) * (1.0 + _TAIL_REL) + _TAIL_ABS, 1.0)
+    p_lo = np.where(det, (gap_hi < 0.0).astype(float), p_lo)
+    p_hi = np.where(det, (gap_lo < 0.0).astype(float), p_hi)
+    return p_lo, p_hi
+
+
 def buffer(tasks: Iterable[TaskSpec]) -> float:
     """Unreserved CPU fraction: 1 - sum(budget/period).  Negative when oversubscribed."""
     return 1.0 - math.fsum(t.budget_us / t.period_us for t in tasks)
@@ -78,9 +113,7 @@ def ks_statistic(samples: Sequence[float], params: NormalParams) -> float:
     xs = np.sort(np.asarray(samples, dtype=float))
     n = xs.size
     # vectorized Phi((x - mu) / sigma)
-    from scipy.special import erfc as _erfc
-
-    cdf = 0.5 * _erfc(-(xs - params.mu) / (params.sigma * _SQRT2))
+    cdf = 0.5 * erfc(-(xs - params.mu) / (params.sigma * _SQRT2))
     steps = np.arange(1, n + 1) / n
     d_plus = np.max(steps - cdf)
     d_minus = np.max(cdf - (steps - 1 / n))

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .probability import fit_normal
 from .simulation import SimTrace
@@ -156,5 +155,8 @@ def histogram_modes(
         kernel = np.ones(smooth) / smooth
         rel = np.convolve(rel, kernel, mode="same")
     padded = np.concatenate([[0.0], rel, [0.0]])
+    # imported here: scipy.signal takes about a second to load and no command needs it
+    from scipy.signal import find_peaks
+
     peaks, _ = find_peaks(padded, prominence=min_prominence)
     return [int(p - 1) for p in peaks]

@@ -66,3 +66,25 @@ def rm_bound_exact(n: int, dps: int = 50):
 def edf_window_demand(budgets_us: list[int], copies: int = 1) -> int:
     """Total demand of one synchronous batch; fits iff <= the common period."""
     return copies * sum(budgets_us)
+
+
+def mc_reallocate_reference(view, thresholds, mc_samples: int, seed: int):
+    """The Monte Carlo placement search as a plain loop: one draw and one exact score per sample."""
+    from rtorch.orchestration import build_plan, plan_objective
+
+    res_ids = list(view.resources)
+    movable = [tid for tid in view.tasks if tid not in view.cooldown]
+    rng = np.random.default_rng(seed)
+
+    best_assign = dict(view.assignments)
+    best_obj = plan_objective(view, best_assign, thresholds)
+    for _ in range(mc_samples):
+        candidate = dict(view.assignments)
+        picks = rng.integers(0, len(res_ids), size=len(movable))
+        for tid, idx in zip(movable, picks):
+            candidate[tid] = res_ids[idx]
+        obj = plan_objective(view, candidate, thresholds)
+        if obj < best_obj:
+            best_obj = obj
+            best_assign = candidate
+    return build_plan(best_assign, view.tasks, view.resources, view.fits, view.evicted)

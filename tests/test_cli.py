@@ -255,6 +255,20 @@ def test_usage_errors_exit_one_not_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("strategy", ["naive", "monte_carlo"])
+def test_plan_rejects_nonpositive_mc_samples(samples, strategy, capsys):
+    code, out, err = run_cli(
+        ["plan", "--scenario", str(SCENARIO_DIR / "conveyor.json"), "--strategy", strategy,
+         "--mc-samples", samples],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "--mc-samples" in err and "positive integer" in err
+
+
 def test_log_env_variable_is_accepted(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RTORCH_LOG", "info")
     code, _, _ = run_cli(

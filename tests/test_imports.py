@@ -1,5 +1,9 @@
-"""Every module in src/rtorch uses each name it imports (no dead imports)."""
+"""Every module in src/rtorch uses each name it imports (no dead imports), and
+the CLI loads no heavy module that no command needs."""
 import ast
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -30,3 +34,12 @@ def test_checker_flags_unused_and_accepts_used():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = "import sys, rtorch.cli; print('scipy.signal' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                            timeout=60, check=True)
+    assert result.stdout.strip() == "False"

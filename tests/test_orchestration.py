@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from rtorch.orchestration import (
 )
 from rtorch.probability import NormalParams
 from rtorch.simulation import run_sim
+
+from oracles import mc_reallocate_reference
 
 
 def mk_task(tid, period_us, budget_us, crit=Criticality.HARD, mu_us=None, sigma_us=0):
@@ -220,6 +224,102 @@ def test_mc_search_never_worse_than_incumbent(system, seed):
     plan = mc_reallocate(view, DEFAULT_THRESHOLDS, mc_samples=40, seed=seed)
     result = plan_objective(view, plan.assignments, DEFAULT_THRESHOLDS)
     assert result <= incumbent
+
+
+def plan_json(plan):
+    return json.dumps(plan.to_dict(), sort_keys=True)
+
+
+def exact_fill_system():
+    """Seven deterministic tasks of 0.1 each on two 0.7 CPUs.  All seven on one
+    CPU sum to u_max in naive summation (0.7) but past it in fsum
+    (0.7000000000000001), which breaches; a screen trusting the naive sum
+    would rank that sample above every split."""
+    tasks = [mk_task(f"d{i}", 10, 1, mu_us=1) for i in range(7)]
+    cpus = [mk_cpu(f"cpu{i}", u_max=0.7) for i in range(2)]
+    return mk_view(tasks, cpus, {t.id: "cpu0" for t in tasks})
+
+
+def identical_tasks_system():
+    tasks, fits = four_even_tasks()
+    tasks += [mk_task(f"u{i}", 100_000, 40_000, mu_us=40_000, sigma_us=2_000) for i in range(4)]
+    cpus = [mk_cpu(f"cpu{i}") for i in range(4)]
+    return mk_view(tasks, cpus, {t.id: "cpu0" for t in tasks}, fits)
+
+
+def single_cpu_system():
+    tasks, fits = four_even_tasks()
+    return mk_view(tasks, [mk_cpu("cpu0")], {t.id: "cpu0" for t in tasks}, fits)
+
+
+def pinned_evicted_fitted_system():
+    tasks, cpus, assignments, fits = camera_system()
+    tasks = tasks + [mk_task(f"x{i}", 50_000, 15_000, crit=crit, mu_us=12_000, sigma_us=1_500)
+                     for i, crit in enumerate(Criticality)]
+    cpus = cpus + [mk_cpu("cpu2", crit=Criticality.SOFT, u_max=0.8)]
+    assignments = dict(assignments, x0="cpu0", x1="cpu1", x2="cpu2")
+    # x1 runs on its declared model; the others have fits
+    fits = dict(fits, x0=NormalParams(14_000.0, 3_000.0), x2=NormalParams(9_000.0, 0.0))
+    return mk_view(tasks, cpus, assignments, fits,
+                   cooldown=frozenset({"cam_a", "x2"}), evicted=frozenset({"bg_worker"}))
+
+
+@pytest.mark.parametrize("system", [exact_fill_system, identical_tasks_system, single_cpu_system,
+                                    pinned_evicted_fitted_system])
+@pytest.mark.parametrize("mc_samples", [1, orchestration._MC_BLOCK + 1, 1000])
+def test_mc_search_matches_sample_by_sample_scan(system, mc_samples):
+    view = system()
+    for seed in (0, 1, 7):
+        expected = mc_reallocate_reference(view, DEFAULT_THRESHOLDS, mc_samples, seed)
+        assert plan_json(mc_reallocate(view, DEFAULT_THRESHOLDS, mc_samples, seed)) == plan_json(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_systems(), st.integers(0, 1000), st.sampled_from([1, 2, 300]), st.data())
+def test_mc_search_matches_scan_on_random_systems(system, seed, mc_samples, data):
+    tasks, resources, assignments, fits = system
+    ids = [t.id for t in tasks]
+    subset = st.frozensets(st.sampled_from(ids))
+    view = mk_view(tasks, resources, assignments, fits,
+                   cooldown=data.draw(subset), evicted=data.draw(subset))
+    expected = mc_reallocate_reference(view, DEFAULT_THRESHOLDS, mc_samples, seed)
+    assert plan_json(mc_reallocate(view, DEFAULT_THRESHOLDS, mc_samples, seed)) == plan_json(expected)
+
+
+def test_mc_search_on_one_cpu_scores_only_the_incumbent(monkeypatch):
+    calls = []
+    monkeypatch.setattr(orchestration, "plan_objective",
+                        lambda *args: calls.append(args) or plan_objective(*args))
+    view = single_cpu_system()
+    plan = mc_reallocate(view, DEFAULT_THRESHOLDS, mc_samples=1000, seed=1)
+    assert plan.assignments == view.assignments
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n_res, n_movable", [(2, 5), (3, 7), (8, 39), (32, 240), (1, 4)])
+def test_block_draws_equal_per_sample_draws(n_res, n_movable):
+    """The search draws a block of samples in one call; the stream must match one call per sample."""
+    for seed in range(3):
+        per_sample = np.random.default_rng(seed)
+        rows = np.array([per_sample.integers(0, n_res, size=n_movable) for _ in range(50)])
+        blocked = np.random.default_rng(seed)
+        blocks = [blocked.integers(0, n_res, size=(k, n_movable)) for k in (17, 33)]
+        assert np.array_equal(rows, np.concatenate(blocks))
+
+
+def test_mc_search_memory_does_not_grow_with_samples():
+    periods = (20_000, 25_000, 40_000, 50_000)
+    tasks = [mk_task(f"t{i}", periods[i % 4], periods[i % 4] // 20, mu_us=periods[i % 4] // 25,
+                     sigma_us=periods[i % 4] // 200) for i in range(240)]
+    cpus = [mk_cpu(f"cpu{i}") for i in range(32)]
+    view = mk_view(tasks, cpus, {t.id: f"cpu{i % 32}" for i, t in enumerate(tasks)})
+    tracemalloc.start()
+    try:
+        mc_reallocate(view, DEFAULT_THRESHOLDS, mc_samples=100_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_step_returns_none_without_breach():

@@ -13,7 +13,9 @@ from rtorch.probability import (
     fit_normal,
     joint_utilization,
     ks_statistic,
+    ULP,
     miss_probability,
+    miss_probability_bounds,
     std_normal_cdf,
 )
 
@@ -203,3 +205,33 @@ def test_ks_statistic_perfect_fit_small():
     d = ks_statistic(xs, NormalParams(0.0, 1.0))
     # expected O(1/sqrt(n))
     assert d < 0.01
+
+
+@st.composite
+def near_boundary_groups(draw):
+    """Runtime normals whose utilization mean can sit on u_max with a sigma far below it."""
+    n = draw(st.integers(1, 12))
+    models = []
+    for _ in range(n):
+        period = draw(st.sampled_from([7, 10, 30_000, 125_000]))
+        mu = draw(st.floats(0.0, period * 0.3))
+        sigma = draw(st.sampled_from([0.0, 1e-9, 1e-3, 1.0])) * period * draw(st.floats(0.0, 0.2))
+        models.append((NormalParams(mu, sigma), period))
+    return models
+
+
+@given(near_boundary_groups(), st.floats(0.05, 1.0), st.booleans())
+def test_miss_probability_bounds_contain_the_exact_tail(models, u_max, on_boundary):
+    mu_terms = [m.mu / period for m, period in models]
+    var_terms = [(m.sigma / period) ** 2 for m, period in models]
+    mu = var = 0.0
+    for a, b in zip(reversed(mu_terms), reversed(var_terms)):  # recursive sums, another order
+        mu += a
+        var += b
+    if on_boundary:
+        u_max = mu
+    slack = (len(models) + 4) * ULP
+    lo, hi = miss_probability_bounds(np.array([mu]), np.array([slack * math.fsum(mu_terms)]),
+                                     np.array([var]), np.array([slack * var]), np.array([u_max]))
+    exact = miss_probability(joint_utilization(models), u_max)
+    assert lo[0] <= exact <= hi[0]
