@@ -82,6 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bad_option(name: str, expected: str, value) -> int:
+    print(f"error: {name}: expected {expected}, got {value}", file=sys.stderr)
+    return EXIT_INPUT
+
+
 def _initial_assignments(scenario: Scenario) -> dict[str, str]:
     """Explicit plan if the scenario carries one, else first-fit by declining utilization."""
     if scenario.initial_plan is not None:
@@ -90,6 +95,8 @@ def _initial_assignments(scenario: Scenario) -> dict[str, str]:
 
 
 def cmd_simulate(args) -> int:
+    if args.bin_width_us < 1:
+        return _bad_option("--bin-width-us", "positive integer", args.bin_width_us)
     try:
         scenario = load_scenario(args.scenario)
         assignments = _initial_assignments(scenario)
@@ -137,6 +144,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.period_us < 1:
+        return _bad_option("--period-us", "positive integer", args.period_us)
+    if not (math.isfinite(args.u_max) and args.u_max > 0.0):
+        return _bad_option("--u-max", "positive finite number", args.u_max)
+    if not 0.0 <= args.threshold <= 1.0:
+        return _bad_option("--threshold", "probability in [0, 1]", args.threshold)
     try:
         samples = read_runtimes_csv(args.runtimes)
     except (OSError, ValueError) as exc:
@@ -149,7 +162,7 @@ def cmd_analyze(args) -> int:
     periods = {tid: args.period_us for tid in samples}
     for override in args.task_period:
         tid, _, value = override.partition("=")
-        if tid not in samples or not value.isdigit():
+        if tid not in samples or not value.isdecimal() or int(value) < 1:
             print(f"error: --task-period {override!r}: unknown task or bad period", file=sys.stderr)
             return EXIT_INPUT
         periods[tid] = int(value)
@@ -168,17 +181,15 @@ def cmd_analyze(args) -> int:
 
     joint = joint_utilization(models)
     prob = miss_probability(joint, args.u_max)
-    headroom = 1.0 - math.fsum(p.mu / period for p, period in models)
     marker = "  BREACH" if prob > args.threshold else ""
     print(f"group: joint_mu={joint.mu:.4f} joint_sigma={joint.sigma:.4f} u_max={args.u_max:g} "
-          f"miss_prob={prob:.6f} buffer_at_mean={headroom:.4f}{marker}")
+          f"miss_prob={prob:.6f} buffer_at_mean={1.0 - joint.mu:.4f}{marker}")
     return EXIT_OK
 
 
 def cmd_plan(args) -> int:
     if args.mc_samples is not None and args.mc_samples < 1:
-        print(f"error: --mc-samples: expected positive integer, got {args.mc_samples}", file=sys.stderr)
-        return EXIT_INPUT
+        return _bad_option("--mc-samples", "positive integer", args.mc_samples)
     try:
         scenario = load_scenario(args.scenario)
     except ScenarioError as exc:

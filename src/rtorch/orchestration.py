@@ -15,11 +15,12 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .admission import admit, group_miss_prob, runtime_params
+from .admission import GroupLoad, admit, group_loads, runtime_params
 from .model import (
     AllocationPlan,
     Criticality,
@@ -27,7 +28,7 @@ from .model import (
     ResourceState,
     TaskSpec,
 )
-from .probability import ULP, NormalParams, buffer, fit_normal, miss_probability_bounds
+from .probability import ULP, NormalParams, fit_normal, miss_probability_bounds
 from .simulation import PlanUpdate, SimSnapshot
 
 DEFAULT_THRESHOLDS: Mapping[Criticality, float] = {
@@ -86,12 +87,10 @@ class SystemView:
     next_deadline_us: Mapping[str, int] = field(default_factory=dict)
     cooldown: frozenset[str] = frozenset()
 
-    def hosted(self, rid: str) -> list[TaskSpec]:
-        return [
-            self.tasks[tid]
-            for tid, r in self.assignments.items()
-            if r == rid and tid not in self.evicted
-        ]
+    @cached_property
+    def loads(self) -> dict[str, GroupLoad]:
+        """Each resource's load under the current assignments, built on first use."""
+        return group_loads(self.resources, self.tasks, self.assignments, self.fits, self.evicted)
 
 
 @dataclass(frozen=True)
@@ -112,10 +111,9 @@ def group_threshold(tasks: Sequence[TaskSpec], thresholds: Mapping[Criticality, 
 def evaluate_epoch(view: SystemView, config: OrchestratorConfig) -> list[EpochEval]:
     """Per-resource miss probability against the strictest hosted threshold."""
     out = []
-    for rid, res in view.resources.items():
-        hosted = view.hosted(rid)
-        prob = group_miss_prob(hosted, res.u_max, view.fits)
-        thr = group_threshold(hosted, config.thresholds)
+    for rid, load in view.loads.items():
+        prob = load.miss_prob()
+        thr = group_threshold(load.tasks, config.thresholds)
         out.append(EpochEval(rid, prob, thr, prob > thr))
     return out
 
@@ -129,7 +127,7 @@ def select_victim(view: SystemView, rid: str) -> str:
 
 
 def _victim_order(view: SystemView, rid: str) -> list[str]:
-    hosted = [t.id for t in view.hosted(rid)]
+    hosted = [t.id for t in view.loads[rid].tasks]
     return sorted(hosted, key=lambda tid: (view.next_deadline_us.get(tid, 0), tid))
 
 
@@ -145,11 +143,8 @@ def match_score(victim: TaskSpec, hosted: Sequence[TaskSpec]) -> float:
     return 1.0 / (1.0 + abs(math.log(victim.period_us / median_period)))
 
 
-def naive_reallocate(
-    view: SystemView,
-    victim_id: str,
-    thresholds: Mapping[Criticality, float],
-) -> ReallocationDecision:
+def naive_reallocate(view: SystemView, victim_id: str,
+                     thresholds: Mapping[Criticality, float]) -> ReallocationDecision:
     """Move the victim to the admissible resource with the best period match.
 
     On a less-critical destination whose best-effort tasks block admission,
@@ -159,16 +154,14 @@ def naive_reallocate(
     """
     victim = view.tasks[victim_id]
     host_rid = view.assignments[victim_id]
-    host = view.resources[host_rid]
-    trigger_prob = group_miss_prob(view.hosted(host_rid), host.u_max, view.fits)
-    trigger = (host_rid, trigger_prob, group_threshold(view.hosted(host_rid), thresholds))
+    host = view.loads[host_rid]
+    trigger = (host_rid, host.miss_prob(), group_threshold(host.tasks, thresholds))
 
-    best: tuple[float, str] | None = None
-    best_evicted: tuple[str, ...] = ()
+    options = []  # (-period match, destination, evicted): the least is best
     for rid, res in view.resources.items():
         if rid == host_rid:
             continue
-        hosted = [t for t in view.hosted(rid) if t.id != victim_id]
+        hosted = view.loads[rid].tasks
         verdict = admit(res, hosted, victim, group_threshold(hosted + [victim], thresholds), view.fits)
         evicted: tuple[str, ...] = ()
         kept = hosted
@@ -180,39 +173,24 @@ def naive_reallocate(
                 if retry.admitted:
                     verdict = retry
                     evicted = tuple(sorted(t.id for t in moveable))
-        if not verdict.admitted:
-            continue
-        score = match_score(victim, kept)
-        if best is None or score > best[0] or (score == best[0] and rid < best[1]):
-            best = (score, rid)
-            best_evicted = evicted
+        if verdict.admitted:
+            options.append((-match_score(victim, kept), rid, evicted))
 
-    if best is None:
+    if not options:
         return ReallocationDecision(moved=(), trigger=trigger)
-    return ReallocationDecision(
-        moved=((victim_id, host_rid, best[1]),),
-        trigger=trigger,
-        evicted_best_effort=best_evicted,
-    )
+    _, dest, evicted = min(options)
+    return ReallocationDecision(moved=((victim_id, host_rid, dest),), trigger=trigger,
+                                evicted_best_effort=evicted)
 
 
 def plan_objective(view: SystemView, assignments: Mapping[str, str],
                    thresholds: Mapping[Criticality, float]) -> tuple[int, float, int]:
     """(breached resources, worst miss probability, occupied resources): less is better."""
-    groups: dict[str, list[TaskSpec]] = {}
-    for tid, rid in assignments.items():
-        if tid in view.evicted:
-            continue
-        groups.setdefault(rid, []).append(view.tasks[tid])
-    breached = 0
-    worst = 0.0
-    for rid, hosted in groups.items():
-        prob = group_miss_prob(hosted, view.resources[rid].u_max, view.fits)
-        if prob > worst:
-            worst = prob
-        if prob > group_threshold(hosted, thresholds):
-            breached += 1
-    return (breached, worst, len(groups))
+    loads = group_loads(view.resources, view.tasks, assignments, view.fits, view.evicted)
+    occupied = [load for load in loads.values() if load.tasks]
+    probs = [load.miss_prob() for load in occupied]
+    breached = sum(p > group_threshold(load.tasks, thresholds) for p, load in zip(probs, occupied))
+    return (breached, max(probs, default=0.0), len(occupied))
 
 
 def mc_reallocate(
@@ -337,17 +315,10 @@ def build_plan(
     evicted: frozenset[str] = frozenset(),
 ) -> AllocationPlan:
     """Assemble an AllocationPlan, computing fresh per-resource load summaries."""
-    groups: dict[str, list[TaskSpec]] = {rid: [] for rid in resources}
-    for tid, rid in assignments.items():
-        if tid not in evicted:
-            groups[rid].append(tasks[tid])
-    per_resource = {}
-    for rid, res in resources.items():
-        hosted = groups[rid]
-        per_resource[rid] = ResourceLoad(
-            buffer=buffer(hosted),
-            miss_prob=group_miss_prob(hosted, res.u_max, fits),
-        )
+    per_resource = {
+        rid: ResourceLoad(buffer=1.0 - load.reserved(), miss_prob=load.miss_prob())
+        for rid, load in group_loads(resources, tasks, assignments, fits, evicted).items()
+    }
     return AllocationPlan(assignments=dict(assignments), per_resource=per_resource)
 
 
@@ -461,16 +432,13 @@ def first_fit_plan(
     fits: Mapping[str, NormalParams] | None = None,
 ) -> dict[str, str]:
     """First-fit by declining utilization; raises InfeasibleError when a task fits nowhere."""
-    placed: dict[str, list[TaskSpec]] = {r.id: [] for r in resources}
+    loads = [GroupLoad(res, fits) for res in resources]
     assignments: dict[str, str] = {}
     order = sorted(tasks, key=lambda t: (-(t.budget_us / t.period_us), t.id))
     for task in order:
-        for res in resources:
-            hosted = placed[res.id]
-            thr = group_threshold(hosted + [task], thresholds)
-            if admit(res, hosted, task, thr, fits).admitted:
-                hosted.append(task)
-                assignments[task.id] = res.id
+        for load in loads:
+            if load.try_add(task, group_threshold(load.tasks + [task], thresholds)):
+                assignments[task.id] = load.resource.id
                 break
         else:
             raise InfeasibleError(task.id, f"task '{task.id}' admits on no resource")

@@ -25,9 +25,7 @@ ULP = 2.0 ** -52
 _TAIL_REL = 1e-6
 _TAIL_ABS = 1e-300
 
-# fit quality below which a sample stream is considered well described by a
-# single normal; above _GOODNESS_POOR the fit is unusable (e.g. bimodal data)
-GOODNESS_GOOD = 0.02
+# KS distance above which a single normal does not describe a sample stream (e.g. bimodal data)
 GOODNESS_POOR = 0.1
 
 
@@ -37,11 +35,6 @@ class NormalParams:
 
     mu: float
     sigma: float
-
-
-def std_normal_cdf(x: float) -> float:
-    """Phi(x) via the complementary error function (abs error well below 1e-7)."""
-    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 def joint_utilization(models: Sequence[tuple[NormalParams, int]]) -> NormalParams:

@@ -213,6 +213,15 @@ def run_sim(
         primary = task_map[job.task].period_us if cpu.rm else job.abs_deadline_us
         return (1 if job.task in evicted else 0, primary, job.task, job.release_us)
 
+    def preempt(cpu: _Cpu, now: int) -> None:
+        """Return the running job to the ready queue, keeping the time it executed."""
+        run = cpu.running
+        run.executed_us += now - cpu.run_since
+        events.append((now, "preempt", run.task, cpu.spec.id))
+        heapq.heappush(cpu.ready, (job_key(cpu, run), run))
+        cpu.running = None
+        cpu.seq += 1
+
     def dispatch(cpu: _Cpu, now: int) -> None:
         """Give the CPU to the best ready job, preempting a worse running one."""
         if cpu.blocked_until > now:
@@ -223,11 +232,7 @@ def run_sim(
             run = cpu.running
             if run.demand_us - run.executed_us - (now - cpu.run_since) <= 0:
                 return  # finishing at this very instant; let its completion event land
-            run.executed_us += now - cpu.run_since
-            events.append((now, "preempt", run.task, cpu.spec.id))
-            heapq.heappush(cpu.ready, (job_key(cpu, run), run))
-            cpu.running = None
-            cpu.seq += 1
+            preempt(cpu, now)
         if not cpu.ready:
             return
         key, job = heapq.heappop(cpu.ready)
@@ -354,13 +359,8 @@ def run_sim(
             if cpu.blocked_until > now:
                 cpu.blocked_until += magnitude  # back-to-back interrupts queue up
             else:
-                run = cpu.running
-                if run is not None:
-                    run.executed_us += now - cpu.run_since
-                    events.append((now, "preempt", run.task, cpu.spec.id))
-                    heapq.heappush(cpu.ready, (job_key(cpu, run), run))
-                    cpu.running = None
-                    cpu.seq += 1
+                if cpu.running is not None:
+                    preempt(cpu, now)
                 cpu.blocked_until = now + magnitude
             push(cpu.blocked_until, _R_IFR_END, rid, ("ifr_end", rid))
             scale = 1e6 / noise.interference.rate_per_s

@@ -88,3 +88,24 @@ def mc_reallocate_reference(view, thresholds, mc_samples: int, seed: int):
             best_obj = obj
             best_assign = candidate
     return build_plan(best_assign, view.tasks, view.resources, view.fits, view.evicted)
+
+
+def first_fit_reference(tasks, resources, thresholds, fits=None):
+    """First fit that re-derives the whole group for ``admit`` at every (task, CPU) pair."""
+    from rtorch.admission import admit
+    from rtorch.orchestration import InfeasibleError, group_threshold
+
+    placed = {r.id: [] for r in resources}
+    assignments: dict[str, str] = {}
+    order = sorted(tasks, key=lambda t: (-(t.budget_us / t.period_us), t.id))
+    for task in order:
+        for res in resources:
+            hosted = placed[res.id]
+            thr = group_threshold(hosted + [task], thresholds)
+            if admit(res, hosted, task, thr, fits).admitted:
+                hosted.append(task)
+                assignments[task.id] = res.id
+                break
+        else:
+            raise InfeasibleError(task.id, f"task '{task.id}' admits on no resource")
+    return assignments

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import rm_bound_exact
-from rtorch.admission import admit, edf_bound, rm_bound
+from rtorch.admission import GroupLoad, admit, edf_bound, rm_bound
 from rtorch.model import ExecModel, Policy, ResourceState, TaskSpec
 from rtorch.probability import NormalParams
 
@@ -144,3 +144,17 @@ def test_removing_a_hosted_task_never_revokes_admission(group, threshold, drop):
     reduced = admit(cpu, hosted, tasks[-1], threshold=threshold, fitted=fitted)
     assert reduced.admitted
     assert reduced.miss_prob <= full.miss_prob + 1e-15
+
+
+@given(admission_groups(), st.sampled_from(list(Policy)), st.sampled_from([1.0, 0.9, 0.69]),
+       st.floats(1e-6, 1.0), st.data())
+def test_group_load_verdict_ignores_task_order_and_equals_admit(group, policy, u_max, threshold, data):
+    tasks, fitted = group
+    cpu = ResourceState(id="cpu0", policy=policy, u_max=u_max)
+    expected = admit(cpu, tasks[:-1], tasks[-1], threshold=threshold, fitted=fitted)
+    shuffled = data.draw(st.permutations(tasks))
+    assert GroupLoad(cpu, fitted, shuffled).verdict(threshold) == expected
+    grown = GroupLoad(cpu, fitted, shuffled[:-1])
+    assert grown.try_add(shuffled[-1], threshold) == expected.admitted
+    assert grown.tasks == (shuffled if expected.admitted else shuffled[:-1])
+    assert len(grown.models) == len(grown.tasks)

@@ -269,6 +269,39 @@ def test_plan_rejects_nonpositive_mc_samples(samples, strategy, capsys):
     assert "--mc-samples" in err and "positive integer" in err
 
 
+ANALYZE = ["analyze", str(CAMERA_RUNTIMES), "--period-us", "125000"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    pytest.param(["analyze", str(CAMERA_RUNTIMES), "--period-us", "0"], "--period-us", id="period-0"),
+    pytest.param(["analyze", str(CAMERA_RUNTIMES), "--period-us", "-5"], "--period-us", id="period-neg"),
+    pytest.param(ANALYZE + ["--task-period", "cam_y=0"], "--task-period", id="task-period-0"),
+    pytest.param(ANALYZE + ["--u-max", "0"], "--u-max", id="u-max-0"),
+    pytest.param(ANALYZE + ["--u-max", "-1"], "--u-max", id="u-max-neg"),
+    pytest.param(ANALYZE + ["--u-max", "inf"], "--u-max", id="u-max-inf"),
+    pytest.param(ANALYZE + ["--u-max", "nan"], "--u-max", id="u-max-nan"),
+    pytest.param(ANALYZE + ["--threshold", "-0.1"], "--threshold", id="threshold-neg"),
+    pytest.param(ANALYZE + ["--threshold", "1.5"], "--threshold", id="threshold-above-1"),
+    pytest.param(ANALYZE + ["--threshold", "nan"], "--threshold", id="threshold-nan"),
+    pytest.param(["simulate", "--scenario", str(SCENARIO_DIR / "table1_4units.json"), "--bin-width-us", "0"],
+                 "--bin-width-us", id="bin-width-0"),
+])
+def test_out_of_range_options_exit_one_with_one_line(argv, option, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(argv + (["--out", str(out_dir)] if argv[0] == "simulate" else []), capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert option in err
+    assert not out_dir.exists()  # rejected before anything ran
+
+
+def test_analyze_accepts_a_ceiling_above_one(capsys):
+    code, out, _ = run_cli(ANALYZE + ["--u-max", "2"], capsys)
+    assert code == 0
+    assert "u_max=2 " in out
+
+
 def test_log_env_variable_is_accepted(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RTORCH_LOG", "info")
     code, _, _ = run_cli(

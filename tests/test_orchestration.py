@@ -28,10 +28,10 @@ from rtorch.orchestration import (
     select_victim,
     window_fits,
 )
-from rtorch.probability import NormalParams
+from rtorch.probability import NormalParams, joint_utilization, miss_probability
 from rtorch.simulation import run_sim
 
-from oracles import mc_reallocate_reference
+from oracles import first_fit_reference, mc_reallocate_reference
 
 
 def mk_task(tid, period_us, budget_us, crit=Criticality.HARD, mu_us=None, sigma_us=0):
@@ -394,6 +394,69 @@ def test_first_fit_raises_when_nothing_fits():
     with pytest.raises(InfeasibleError) as err:
         first_fit_plan([giant, blocker], cpus)
     assert err.value.task_id == "blocker"
+
+
+@st.composite
+def first_fit_systems(draw):
+    """EDF/RM CPUs of three ceilings, mixed criticality, optional fits, and
+    deterministic tenths of a CPU that fill a ceiling of 1.0 or 0.9 exactly."""
+    resources = [
+        ResourceState(id=f"cpu{i}", policy=draw(st.sampled_from(list(Policy))),
+                      u_max=draw(st.sampled_from([1.0, 0.9, 0.69])),
+                      criticality=draw(st.sampled_from(list(Criticality))))
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    with_fits = draw(st.booleans())
+    n_tenths = draw(st.sampled_from([0, 9, 10, 11]))
+    tasks = [mk_task(f"d{i}", 10_000, 1_000, crit=draw(st.sampled_from(list(Criticality))), mu_us=1_000)
+             for i in range(n_tenths)]
+    fits = {}
+    for i in range(draw(st.integers(0 if n_tenths else 1, 6))):
+        crit = draw(st.sampled_from(list(Criticality)))
+        period = draw(st.sampled_from([10_000, 50_000, 100_000]))
+        budget = draw(st.integers(period // 20, period // 2))
+        mu = round(budget * draw(st.floats(0.3, 1.0)))
+        tasks.append(mk_task(f"t{i}", period, budget, crit=crit, mu_us=mu,
+                             sigma_us=round(mu * draw(st.floats(0.0, 0.3)))))
+        if with_fits and draw(st.booleans()):
+            fit_mu = budget * draw(st.floats(0.3, 1.4))
+            fits[f"t{i}"] = NormalParams(fit_mu, fit_mu * draw(st.floats(0.0, 0.3)))
+    thresholds = draw(st.sampled_from([DEFAULT_THRESHOLDS, RELAXED]))
+    return tasks, resources, thresholds, fits if with_fits else None
+
+
+@settings(max_examples=80, deadline=None)
+@given(first_fit_systems())
+def test_first_fit_matches_reference(system):
+    def outcome(first_fit):
+        try:
+            return first_fit(*system)
+        except InfeasibleError as exc:
+            return exc.task_id
+
+    assert outcome(first_fit_plan) == outcome(first_fit_reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_systems(), st.data())
+def test_epoch_plan_and_objective_agree_on_miss_probabilities(system, data):
+    tasks, resources, assignments, fits = system
+    evicted = data.draw(st.frozensets(st.sampled_from([t.id for t in tasks])))
+    view = mk_view(tasks, resources, assignments, fits, evicted=evicted)
+    expected = {}
+    for res in resources:
+        hosted = [view.tasks[tid] for tid, rid in assignments.items() if rid == res.id and tid not in evicted]
+        joint = joint_utilization([(fits[t.id], t.period_us) for t in hosted]) if hosted else None
+        expected[res.id] = miss_probability(joint, res.u_max) if hosted else 0.0
+
+    evals = evaluate_epoch(view, OrchestratorConfig())
+    assert {e.resource: e.miss_prob for e in evals} == expected
+    plan = build_plan(assignments, view.tasks, view.resources, fits, evicted)
+    assert {rid: load.miss_prob for rid, load in plan.per_resource.items()} == expected
+    breached, worst, occupied = plan_objective(view, assignments, DEFAULT_THRESHOLDS)
+    assert worst == max(expected.values())
+    assert breached == sum(e.breached for e in evals)
+    assert occupied == len({rid for tid, rid in assignments.items() if tid not in evicted})
 
 
 def test_build_plan_excludes_evicted_tasks_from_load():

@@ -16,7 +16,6 @@ from rtorch.probability import (
     ULP,
     miss_probability,
     miss_probability_bounds,
-    std_normal_cdf,
 )
 
 from oracles import mc_group_miss_fraction, phi_simpson, two_pass_stats
@@ -29,17 +28,22 @@ def make_task(tid, period, budget):
     )
 
 
+def upper_tail(x):
+    """1 - Phi(x): the miss probability of a standard normal load against a ceiling of x."""
+    return miss_probability(NormalParams(0.0, 1.0), x)
+
+
 def test_cdf_matches_quadrature_oracle():
     for x in [-6.0, -3.0, -1.0, -0.5, 0.0, 0.3, 1.0, 1.41421, 2.5, 4.0, 6.0]:
-        assert std_normal_cdf(x) == pytest.approx(phi_simpson(x), abs=1e-9)
+        assert upper_tail(x) == pytest.approx(1.0 - phi_simpson(x), abs=1e-9)
 
 
 def test_cdf_reference_points():
-    assert std_normal_cdf(0.0) == pytest.approx(0.5, abs=1e-12)
+    assert upper_tail(0.0) == pytest.approx(0.5, abs=1e-12)
     # value computed with the quadrature oracle above
-    assert std_normal_cdf(1.41421) == pytest.approx(0.92135, abs=5e-6)
-    assert std_normal_cdf(-8.0) < 1e-14
-    assert std_normal_cdf(8.0) > 1.0 - 1e-14
+    assert upper_tail(1.41421) == pytest.approx(1.0 - 0.92135, abs=5e-6)
+    assert upper_tail(-8.0) > 1.0 - 1e-14
+    assert upper_tail(8.0) < 1e-14
 
 
 def test_joint_of_camera_pair():
