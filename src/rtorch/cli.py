@@ -97,6 +97,8 @@ def _initial_assignments(scenario: Scenario) -> dict[str, str]:
 def cmd_simulate(args) -> int:
     if args.bin_width_us < 1:
         return _bad_option("--bin-width-us", "positive integer", args.bin_width_us)
+    if args.seed is not None and args.seed < 0:
+        return _bad_option("--seed", "non-negative integer", args.seed)
     try:
         scenario = load_scenario(args.scenario)
         assignments = _initial_assignments(scenario)
@@ -190,6 +192,8 @@ def cmd_analyze(args) -> int:
 def cmd_plan(args) -> int:
     if args.mc_samples is not None and args.mc_samples < 1:
         return _bad_option("--mc-samples", "positive integer", args.mc_samples)
+    if args.seed is not None and args.seed < 0:
+        return _bad_option("--seed", "non-negative integer", args.seed)
     try:
         scenario = load_scenario(args.scenario)
     except ScenarioError as exc:

@@ -40,6 +40,15 @@ class RunReport:
     bin_width_us: int
 
     def to_dict(self) -> dict:
+        out = self._summary()
+        out["histogram"] = {
+            tid: [[lo, hi, count] for lo, hi, count in bins]
+            for tid, bins in self.histogram.items()
+        }
+        return out
+
+    def _summary(self) -> dict:
+        """``to_dict`` with ``histogram`` left as None."""
         return {
             "per_task": {
                 tid: {
@@ -56,10 +65,7 @@ class RunReport:
             "skw": list(self.skw),
             "sd_mx_us": self.sd_mx_us,
             "bin_width_us": self.bin_width_us,
-            "histogram": {
-                tid: [[lo, hi, count] for lo, hi, count in bins]
-                for tid, bins in self.histogram.items()
-            },
+            "histogram": None,
         }
 
 
@@ -122,9 +128,36 @@ def export_histogram(report: RunReport, path) -> None:
                 fh.write(f"{tid},{lo},{hi},{count / total!r}\n")
 
 
+# one histogram bin as json.dump(indent=2) lays it out, three levels down
+_BIN_JSON = "      [\n        %d,\n        %d,\n        %d\n      ]"
+_HISTOGRAM_SLOT = '\n  "histogram": null'
+
+
 def write_report_json(report: RunReport, path) -> None:
+    """Write ``report.to_dict()`` as ``json.dump(indent=2, sort_keys=True)`` does, plus a newline.
+
+    Everything but the histogram goes through ``json.dumps``; the histogram is
+    written task by task into its slot, so the whole text is never held in
+    memory.  The slot is unique: top-level keys are the only lines indented by
+    exactly two spaces, and a JSON string cannot hold a raw newline.
+    """
+    head, tail = json.dumps(report._summary(), indent=2, sort_keys=True).split(_HISTOGRAM_SLOT)
     with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write(head)
+        fh.write('\n  "histogram": ')
+        sep = "{"
+        for tid in sorted(report.histogram):
+            bins = report.histogram[tid]
+            fh.write(f"{sep}\n    {json.dumps(tid)}: ")
+            if bins:
+                fh.write("[\n")
+                fh.write(",\n".join([_BIN_JSON % (lo, hi, count) for lo, hi, count in bins]))
+                fh.write("\n    ]")
+            else:
+                fh.write("[]")
+            sep = ","
+        fh.write("\n  }" if report.histogram else "{}")
+        fh.write(tail)
         fh.write("\n")
 
 

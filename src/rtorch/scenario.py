@@ -22,7 +22,9 @@ with a ``_us`` suffix in the key name.  Example:
     }
 
 Malformed input raises ScenarioError naming the offending field (or the JSON
-parse position).
+parse position).  Sections must be JSON objects.  Integer fields, which are
+all ``_us`` durations except the latency jitter's ``mu_us`` and ``sigma_us``,
+must be JSON integers: ``125000.5`` or ``true`` is rejected, not truncated.
 """
 from __future__ import annotations
 
@@ -56,22 +58,61 @@ class Scenario:
     initial_plan: Mapping[str, str] | None = None
 
 
+_TASK_INTEGERS = ("period_us", "budget_us", "deadline_us")
+_EXEC_INTEGERS = ("mu_us", "sigma_us", "cutoff_lo_us", "wcet_us")
+
+
 def _require(data: Mapping[str, Any], key: str, where: str) -> Any:
     if key not in data:
         raise ScenarioError(f"{where}: missing required field '{key}'")
     return data[key]
 
 
-def _parse_noise(data: Mapping[str, Any] | None, where: str) -> NoiseModel:
+def _is_int(value: Any) -> bool:
+    """A JSON integer: not a float, which ``int()`` would truncate, and not a bool."""
+    return type(value) is int
+
+
+def _object(value: Any, where: str) -> Mapping[str, Any]:
+    # dict first: JSON objects load as dicts, and the Mapping ABC check alone is slow
+    if not isinstance(value, (dict, Mapping)):
+        raise ScenarioError(f"{where}: expected a JSON object")
+    return value
+
+
+def _integers(data: Mapping[str, Any], keys: tuple[str, ...], where: str) -> None:
+    """Reject any of ``keys`` that is present (and not null) but not an integer."""
+    for key in keys:
+        value = data.get(key)
+        if value is not None and not _is_int(value):
+            raise ScenarioError(f"{where}.{key}: expected integer, got {value!r}")
+
+
+def _check_task(raw: Any, where: str) -> None:
+    """Shape checks that ``TaskSpec.from_dict``'s lenient conversions would let through."""
+    _integers(_object(raw, where), _TASK_INTEGERS, where)
+    if "exec_model" in raw:
+        where = f"{where}.exec_model"
+        model = _object(raw["exec_model"], where)
+        _integers(model, _EXEC_INTEGERS, where)
+        mixture = model.get("mixture", ())
+        if isinstance(mixture, list):
+            for j, mode in enumerate(mixture):
+                _integers(_object(mode, f"{where}.mixture[{j}]"), ("offset_us",), f"{where}.mixture[{j}]")
+
+
+def _parse_noise(data: Any, where: str) -> NoiseModel:
     if data is None:
         return NoiseModel()
+    _object(data, where)
     base = data.get("base_overhead_us", 0)
-    if not isinstance(base, int) or base < 0:
+    if not _is_int(base) or base < 0:
         raise ScenarioError(f"{where}.base_overhead_us: expected non-negative integer")
     jitter = data.get("latency_jitter")
     if jitter is None:
         jitter_params = NormalParams(0.0, 0.0)
     else:
+        _object(jitter, f"{where}.latency_jitter")
         try:
             jitter_params = NormalParams(float(jitter["mu_us"]), float(jitter["sigma_us"]))
         except (KeyError, TypeError, ValueError) as exc:
@@ -81,6 +122,7 @@ def _parse_noise(data: Mapping[str, Any] | None, where: str) -> NoiseModel:
     ifr = data.get("interference")
     interference = None
     if ifr is not None:
+        _integers(_object(ifr, f"{where}.interference"), ("magnitude_us",), f"{where}.interference")
         try:
             interference = Interference(float(ifr["rate_per_s"]), int(ifr["magnitude_us"]))
         except (KeyError, TypeError, ValueError) as exc:
@@ -90,12 +132,13 @@ def _parse_noise(data: Mapping[str, Any] | None, where: str) -> NoiseModel:
     return NoiseModel(base_overhead_us=base, latency_jitter=jitter_params, interference=interference)
 
 
-def _parse_orchestrator(data: Mapping[str, Any] | None) -> OrchestratorConfig:
+def _parse_orchestrator(data: Any) -> OrchestratorConfig:
     if data is None:
         return OrchestratorConfig(enabled=False)
     where = "orchestrator"
+    _object(data, where)
     thresholds = dict(DEFAULT_THRESHOLDS)
-    for name, value in data.get("thresholds", {}).items():
+    for name, value in _object(data.get("thresholds", {}), f"{where}.thresholds").items():
         try:
             crit = Criticality(name)
         except ValueError:
@@ -109,13 +152,13 @@ def _parse_orchestrator(data: Mapping[str, Any] | None) -> OrchestratorConfig:
     except ValueError:
         raise ScenarioError(f"{where}.strategy: expected naive|monte_carlo, got {strategy_name!r}") from None
     monitor = data.get("monitor_period_us", 1_000_000)
-    if not isinstance(monitor, int) or monitor <= 0:
+    if not _is_int(monitor) or monitor <= 0:
         raise ScenarioError(f"{where}.monitor_period_us: expected positive integer")
     fit_window = data.get("fit_window", 1024)
-    if not isinstance(fit_window, int) or fit_window < 2:
+    if not _is_int(fit_window) or fit_window < 2:
         raise ScenarioError(f"{where}.fit_window: expected integer >= 2")
     mc_samples = data.get("mc_samples", 1000)
-    if not isinstance(mc_samples, int) or mc_samples < 1:
+    if not _is_int(mc_samples) or mc_samples < 1:
         raise ScenarioError(f"{where}.mc_samples: expected positive integer")
     return OrchestratorConfig(
         monitor_period_us=monitor,
@@ -138,6 +181,7 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
     seen_tasks = set()
     for i, raw in enumerate(raw_tasks):
         where = f"tasks[{i}]"
+        _check_task(raw, where)
         try:
             task = TaskSpec.from_dict(raw)
         except (KeyError, TypeError, ValueError) as exc:
@@ -157,6 +201,7 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
     seen_resources = set()
     for i, raw in enumerate(raw_resources):
         where = f"resources[{i}]"
+        _object(raw, where)
         try:
             res = ResourceState.from_dict(raw)
         except (KeyError, TypeError, ValueError) as exc:
@@ -168,13 +213,13 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
             raise ScenarioError(f"{where}.u_max: must be in (0, 1], got {res.u_max}")
         resources.append(res)
 
-    raw_sim = data.get("sim", {})
+    raw_sim = _object(data.get("sim", {}), "sim")
     duration = raw_sim.get("duration_us", 60_000_000)
-    if not isinstance(duration, int) or duration <= 0:
+    if not _is_int(duration) or duration <= 0:
         raise ScenarioError("sim.duration_us: expected positive integer")
     seed = raw_sim.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ScenarioError("sim.seed: expected integer")
+    if not _is_int(seed) or seed < 0:
+        raise ScenarioError(f"sim.seed: expected non-negative integer, got {seed!r}")
     sim = SimSettings(
         duration_us=duration,
         seed=seed,

@@ -2,16 +2,18 @@
 
 Time is integer microseconds throughout, which keeps event ordering exact and
 runs byte-for-byte reproducible from (inputs, seed).  Randomness comes from a
-single NumPy PCG64 generator; draws happen in event-processing order, which is
-itself a total order:
+single NumPy PCG64 generator, which every task's sampler (``runtime_sampler``)
+shares; draws happen in event-processing order, which is itself a total order:
 
     (timestamp, kind rank, id, insertion counter)
 
 with kind ranks release < interference-end < complete < deadline-check <
-interference-start < monitor-epoch.  Within a CPU the dispatcher picks the
-ready job with the smallest (evicted?, deadline-or-period, task id, release)
-key, so EDF/RM ties resolve by task id and a running job is preempted exactly
-when a strictly smaller key becomes ready.
+interference-start < monitor-epoch.  The engine dispatches on the rank alone;
+task and CPU ids enter the heap as their index in sorted-id order, which
+orders ties exactly as the id strings do.  Within a CPU the dispatcher picks
+the ready job with the smallest (evicted?, deadline-or-period, task id,
+release) key, so EDF/RM ties resolve by task id and a running job is
+preempted exactly when a strictly smaller key becomes ready.
 
 A job's recorded runtime is completion minus first dispatch: queueing before
 the first dispatch does not count, but preemptions after it (including
@@ -23,8 +25,9 @@ with work outstanding.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional, Protocol, Sequence
+from typing import Callable, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -65,19 +68,22 @@ class NoiseModel:
 ZERO_NOISE = NoiseModel()
 
 
-@dataclass
 class Job:
-    """One released instance of a task."""
+    """One released instance of a task, bound to the CPU it was released on."""
 
-    task: str
-    release_us: int
-    abs_deadline_us: int
-    demand_us: int
-    resource: str
-    executed_us: int = 0
-    first_start_us: int = -1
-    measure_start_us: int = -1
-    done: bool = False
+    __slots__ = ("task", "cpu", "release_us", "abs_deadline_us", "demand_us",
+                 "executed_us", "first_start_us", "measure_start_us", "done")
+
+    def __init__(self, task: int, cpu: "_Cpu", release_us: int, abs_deadline_us: int, demand_us: int):
+        self.task = task  # interned task index
+        self.cpu = cpu
+        self.release_us = release_us
+        self.abs_deadline_us = abs_deadline_us
+        self.demand_us = demand_us
+        self.executed_us = 0
+        self.first_start_us = -1
+        self.measure_start_us = -1
+        self.done = False
 
 
 @dataclass
@@ -122,37 +128,60 @@ class SimHook(Protocol):
     def __call__(self, snapshot: SimSnapshot) -> Optional[PlanUpdate]: ...
 
 
-def sample_runtime(model: ExecModel, noise: NoiseModel, rng: np.random.Generator) -> int:
-    """Draw one job demand: mixture-normal clamped to [cutoff_lo, wcet] plus noise.
+def runtime_sampler(model: ExecModel, noise: NoiseModel, rng: np.random.Generator) -> Callable[[], int]:
+    """Return a function that draws one job demand of ``model`` under ``noise`` from ``rng``.
 
-    Noise terms are non-negative, so the result never drops below cutoff_lo.
+    A demand is the mixture-normal runtime clamped to [cutoff_lo, wcet], plus
+    the base overhead, plus the latency jitter truncated at zero.  Noise terms
+    are non-negative, so a demand never drops below cutoff_lo.  Normals are
+    drawn as ``mu + sigma * rng.standard_normal()``, which is how NumPy defines
+    ``rng.normal(mu, sigma)``; a jitter with a positive mu or sigma consumes
+    one draw per job even when its sigma is zero.
     """
+    standard_normal = rng.standard_normal
+    uniform = rng.random
     mu = float(model.mu_us)
-    if model.mixture:
-        u = rng.random()
-        acc = 0.0
-        for mode in model.mixture:
-            acc += mode.weight
-            if u < acc:
-                mu = float(model.mu_us + mode.offset_us)
-                break
-    if model.sigma_us > 0:
-        draw = rng.normal(mu, model.sigma_us)
-    else:
-        draw = mu
-    exec_us = min(max(int(round(draw)), model.cutoff_lo_us), model.wcet_us)
-    total = exec_us + noise.base_overhead_us
+    sigma = float(model.sigma_us)
+    modes = []
+    acc = 0.0
+    for mode in model.mixture:
+        acc += mode.weight
+        modes.append((acc, float(model.mu_us + mode.offset_us)))
+    lo, hi = model.cutoff_lo_us, model.wcet_us
+    overhead = noise.base_overhead_us
     jitter = noise.latency_jitter
-    if jitter.sigma > 0.0 or jitter.mu > 0.0:
-        total += max(0, int(round(rng.normal(jitter.mu, jitter.sigma))))
-    return total
+    jittered = jitter.sigma > 0.0 or jitter.mu > 0.0
+    jitter_mu, jitter_sigma = float(jitter.mu), float(jitter.sigma)
+
+    def sample() -> int:
+        draw = mu
+        if modes:
+            u = uniform()
+            for bound, mode_mu in modes:
+                if u < bound:
+                    draw = mode_mu
+                    break
+        if sigma > 0.0:
+            draw += sigma * standard_normal()
+        demand = min(max(round(draw), lo), hi) + overhead
+        if jittered:
+            demand += max(0, round(jitter_mu + jitter_sigma * standard_normal()))
+        return demand
+
+    return sample
+
+
+def sample_runtime(model: ExecModel, noise: NoiseModel, rng: np.random.Generator) -> int:
+    """Draw one job demand; see ``runtime_sampler``."""
+    return runtime_sampler(model, noise, rng)()
 
 
 class _Cpu:
-    __slots__ = ("spec", "rm", "ready", "running", "running_key", "run_since", "seq", "blocked_until")
+    __slots__ = ("index", "id", "rm", "ready", "running", "running_key", "run_since", "seq", "blocked_until")
 
-    def __init__(self, spec: ResourceState):
-        self.spec = spec
+    def __init__(self, index: int, spec: ResourceState):
+        self.index = index  # interned id: the heap tie of this CPU's interference events
+        self.id = spec.id
         self.rm = spec.policy is Policy.RM
         self.ready: list[tuple[tuple, Job]] = []
         self.running: Job | None = None
@@ -181,7 +210,8 @@ def run_sim(
     """
     assignments = dict(plan.assignments) if isinstance(plan, AllocationPlan) else dict(plan)
     task_map = {t.id: t for t in tasks}
-    cpu_map = {r.id: _Cpu(r) for r in resources}
+    cpu_rank = {rid: i for i, rid in enumerate(sorted({r.id for r in resources}))}
+    cpu_map = {r.id: _Cpu(cpu_rank[r.id], r) for r in resources}
 
     for tid, rid in assignments.items():
         if tid not in task_map:
@@ -194,31 +224,40 @@ def run_sim(
     if tasks and duration_us < max(t.period_us for t in tasks):
         raise ValueError("duration too short")
 
+    # Tasks are interned to their rank in sorted-id order, so int heap ties
+    # order exactly as the id strings would; per-task state is indexed by it.
     rng = np.random.default_rng(seed)
-    events: list[tuple[int, str, str, str]] = []
+    ids = sorted(task_map)
+    index = {tid: i for i, tid in enumerate(ids)}
+    specs = [task_map[tid] for tid in ids]
+    period = [t.period_us for t in specs]
+    deadline = [t.deadline_us for t in specs]
+    sampler = [runtime_sampler(t.exec_model, noise, rng) for t in specs]
+    where = [cpu_map[assignments[tid]] for tid in ids]
+    demoted = [0] * len(ids)
+    open_jobs: list[list[Job]] = [[] for _ in ids]
+    next_release = [0] * len(ids)
     runtimes: dict[str, list[int]] = {t.id: [] for t in tasks}
-    open_jobs: dict[str, list[Job]] = {t.id: [] for t in tasks}
-    next_release: dict[str, int] = {t.id: 0 for t in tasks}
+    samples = [runtimes[tid] for tid in ids]
     evicted: set[str] = set()
 
-    heap: list[tuple[int, int, str, int, tuple]] = []
-    counter = 0
-
-    def push(time: int, rank: int, tie: str, payload: tuple) -> None:
-        nonlocal counter
-        counter += 1
-        heapq.heappush(heap, (time, rank, tie, counter, payload))
+    events: list[tuple[int, str, str, str]] = []
+    append = events.append
+    # (time, kind rank, interned id, insertion counter, job or CPU, dispatch seq)
+    heap: list[tuple] = []
+    heappush, heappop = heapq.heappush, heapq.heappop
+    counter = itertools.count()
 
     def job_key(cpu: _Cpu, job: Job) -> tuple:
-        primary = task_map[job.task].period_us if cpu.rm else job.abs_deadline_us
-        return (1 if job.task in evicted else 0, primary, job.task, job.release_us)
+        t = job.task
+        return (demoted[t], period[t] if cpu.rm else job.abs_deadline_us, t, job.release_us)
 
     def preempt(cpu: _Cpu, now: int) -> None:
         """Return the running job to the ready queue, keeping the time it executed."""
         run = cpu.running
         run.executed_us += now - cpu.run_since
-        events.append((now, "preempt", run.task, cpu.spec.id))
-        heapq.heappush(cpu.ready, (job_key(cpu, run), run))
+        append((now, "preempt", ids[run.task], cpu.id))
+        heappush(cpu.ready, (cpu.running_key, run))  # apply_update keeps running_key current
         cpu.running = None
         cpu.seq += 1
 
@@ -226,42 +265,49 @@ def run_sim(
         """Give the CPU to the best ready job, preempting a worse running one."""
         if cpu.blocked_until > now:
             return
-        if cpu.running is not None:
-            if not cpu.ready or cpu.ready[0][0] >= cpu.running_key:
+        ready = cpu.ready
+        run = cpu.running
+        if run is not None:
+            if not ready or ready[0][0] >= cpu.running_key:
                 return
-            run = cpu.running
             if run.demand_us - run.executed_us - (now - cpu.run_since) <= 0:
                 return  # finishing at this very instant; let its completion event land
             preempt(cpu, now)
-        if not cpu.ready:
+        if not ready:
             return
-        key, job = heapq.heappop(cpu.ready)
+        key, job = heappop(ready)
         cpu.running = job
         cpu.running_key = key
         cpu.run_since = now
-        cpu.seq += 1
+        cpu.seq = seq = cpu.seq + 1
         if job.executed_us == 0:
             # runtime measurement anchors at the dispatch where real progress begins,
             # so a zero-length dispatch segment does not inflate the measurement
             job.measure_start_us = now
         if job.first_start_us < 0:
             job.first_start_us = now
-            events.append((now, "start", job.task, cpu.spec.id))
+            append((now, "start", ids[job.task], cpu.id))
         else:
-            events.append((now, "resume", job.task, cpu.spec.id))
-        push(now + job.demand_us - job.executed_us, _R_COMPLETE, job.task, ("complete", cpu, cpu.seq, job))
+            append((now, "resume", ids[job.task], cpu.id))
+        heappush(heap, (now + job.demand_us - job.executed_us, _R_COMPLETE, job.task, next(counter), job, seq))
 
     def apply_update(update: PlanUpdate, now: int) -> None:
         for tid in sorted(update.assignments):
             rid = update.assignments[tid]
+            if tid not in index:
+                raise ValueError(f"hook assigned unknown task '{tid}'")
             if rid not in cpu_map:
                 raise ValueError(f"hook assigned task '{tid}' to unknown resource '{rid}'")
-            if assignments.get(tid) != rid:
-                events.append((now, "migrate", tid, rid))
+            if assignments[tid] != rid:
+                append((now, "migrate", tid, rid))
                 assignments[tid] = rid
+                where[index[tid]] = cpu_map[rid]
         newly_evicted = set(update.evicted) - evicted
         if newly_evicted:
             evicted.update(newly_evicted)
+            for tid in newly_evicted:
+                if tid in index:
+                    demoted[index[tid]] = 1
             for cpu in cpu_map.values():
                 cpu.ready = [(job_key(cpu, j), j) for _, j in cpu.ready]
                 heapq.heapify(cpu.ready)
@@ -271,13 +317,10 @@ def run_sim(
 
     def snapshot(now: int) -> SimSnapshot:
         nd = {}
-        for tid, jobs in open_jobs.items():
-            if jobs:
-                nd[tid] = jobs[0].abs_deadline_us
-            else:
-                t = task_map[tid]
-                assert t.deadline_us is not None
-                nd[tid] = next_release[tid] + t.deadline_us
+        for tid in task_map:
+            t = index[tid]
+            jobs = open_jobs[t]
+            nd[tid] = jobs[0].abs_deadline_us if jobs else next_release[t] + deadline[t]
         return SimSnapshot(
             now_us=now,
             assignments=dict(assignments),
@@ -287,102 +330,86 @@ def run_sim(
         )
 
     for t in tasks:
-        push(0, _R_RELEASE, t.id, ("release", t.id))
-    if noise.interference is not None:
-        scale = 1e6 / noise.interference.rate_per_s
+        heappush(heap, (0, _R_RELEASE, index[t.id], next(counter), None, 0))
+    ifr = noise.interference
+    if ifr is not None:
+        magnitude = ifr.magnitude_us
+        scale = 1e6 / ifr.rate_per_s
+        exponential = rng.exponential
         for r in resources:
-            first = max(1, int(round(rng.exponential(scale))))
+            first = max(1, int(round(exponential(scale))))
             if first < duration_us:
-                push(first, _R_IFR_START, r.id, ("ifr_start", r.id))
+                cpu = cpu_map[r.id]
+                heappush(heap, (first, _R_IFR_START, cpu.index, next(counter), cpu, 0))
     if hook is not None and hook.period_us < duration_us:
-        push(hook.period_us, _R_MONITOR, "", ("monitor",))
+        heappush(heap, (hook.period_us, _R_MONITOR, 0, next(counter), None, 0))
 
     while heap:
-        now, _rank, _tie, _n, payload = heapq.heappop(heap)
+        now, rank, tie, _, obj, seq = heappop(heap)
         if now > duration_us:
             break
-        kind = payload[0]
 
-        if kind == "release":
-            tid = payload[1]
-            task = task_map[tid]
-            assert task.deadline_us is not None
-            rid = assignments[tid]
-            cpu = cpu_map[rid]
-            job = Job(
-                task=tid,
-                release_us=now,
-                abs_deadline_us=now + task.deadline_us,
-                demand_us=sample_runtime(task.exec_model, noise, rng),
-                resource=rid,
-            )
-            events.append((now, "release", tid, rid))
-            open_jobs[tid].append(job)
+        if rank == _R_RELEASE:
+            cpu = where[tie]
+            job = Job(tie, cpu, now, now + deadline[tie], sampler[tie]())
+            append((now, "release", ids[tie], cpu.id))
+            open_jobs[tie].append(job)
             if job.abs_deadline_us <= duration_us:
-                push(job.abs_deadline_us, _R_DEADLINE, tid, ("deadline", job))
-            nxt = now + task.period_us
-            next_release[tid] = nxt
+                heappush(heap, (job.abs_deadline_us, _R_DEADLINE, tie, next(counter), job, 0))
+            nxt = now + period[tie]
+            next_release[tie] = nxt
             if nxt < duration_us:
-                push(nxt, _R_RELEASE, tid, ("release", tid))
-            heapq.heappush(cpu.ready, (job_key(cpu, job), job))
+                heappush(heap, (nxt, _R_RELEASE, tie, next(counter), None, 0))
+            heappush(cpu.ready, (job_key(cpu, job), job))
             dispatch(cpu, now)
 
-        elif kind == "complete":
-            _, cpu, dseq, job = payload
-            if cpu.running is not job or cpu.seq != dseq:
+        elif rank == _R_COMPLETE:
+            cpu = obj.cpu
+            if cpu.running is not obj or cpu.seq != seq:
                 continue  # superseded by a preemption
-            job.executed_us = job.demand_us
-            job.done = True
-            events.append((now, "complete", job.task, cpu.spec.id))
-            runtimes[job.task].append(now - job.measure_start_us)
-            jobs = open_jobs[job.task]
-            if jobs and jobs[0] is job:
-                jobs.pop(0)
+            obj.executed_us = obj.demand_us
+            obj.done = True
+            append((now, "complete", ids[tie], cpu.id))
+            samples[tie].append(now - obj.measure_start_us)
+            jobs = open_jobs[tie]
+            if jobs[0] is obj:
+                del jobs[0]
             else:
                 # a migrated task can finish a new job on its new CPU while an
                 # old overloaded job still drains on the previous one
-                jobs.remove(job)
+                jobs.remove(obj)
             cpu.running = None
             cpu.seq += 1
             dispatch(cpu, now)
 
-        elif kind == "deadline":
-            job = payload[1]
-            if not job.done:
-                events.append((now, "deadline_miss", job.task, job.resource))
+        elif rank == _R_DEADLINE:
+            if not obj.done:
+                append((now, "deadline_miss", ids[tie], obj.cpu.id))
 
-        elif kind == "ifr_start":
-            rid = payload[1]
-            cpu = cpu_map[rid]
-            assert noise.interference is not None
-            magnitude = noise.interference.magnitude_us
+        elif rank == _R_IFR_START:
+            cpu = obj
             if cpu.blocked_until > now:
                 cpu.blocked_until += magnitude  # back-to-back interrupts queue up
             else:
                 if cpu.running is not None:
                     preempt(cpu, now)
                 cpu.blocked_until = now + magnitude
-            push(cpu.blocked_until, _R_IFR_END, rid, ("ifr_end", rid))
-            scale = 1e6 / noise.interference.rate_per_s
-            nxt = now + max(1, int(round(rng.exponential(scale))))
+            heappush(heap, (cpu.blocked_until, _R_IFR_END, tie, next(counter), cpu, 0))
+            nxt = now + max(1, int(round(exponential(scale))))
             if nxt < duration_us:
-                push(nxt, _R_IFR_START, rid, ("ifr_start", rid))
+                heappush(heap, (nxt, _R_IFR_START, tie, next(counter), cpu, 0))
 
-        elif kind == "ifr_end":
-            rid = payload[1]
-            cpu = cpu_map[rid]
-            if cpu.blocked_until != now:
-                continue  # extended by a later interrupt
-            dispatch(cpu, now)
+        elif rank == _R_IFR_END:
+            if obj.blocked_until == now:  # else extended by a later interrupt
+                dispatch(obj, now)
 
-        elif kind == "monitor":
-            assert hook is not None
+        else:  # _R_MONITOR
             update = hook(snapshot(now))
             if update is not None:
                 apply_update(update, now)
             nxt = now + hook.period_us
             if nxt < duration_us:
-                push(nxt, _R_MONITOR, "", ("monitor",))
+                heappush(heap, (nxt, _R_MONITOR, 0, next(counter), None, 0))
 
     return SimTrace(events=events, per_task_runtimes=runtimes)
 

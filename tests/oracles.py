@@ -7,9 +7,15 @@ instead of float exponentials.
 """
 from __future__ import annotations
 
+import heapq
 import math
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
+
+from rtorch.model import AllocationPlan, ExecModel, Policy, ResourceState, TaskSpec
+from rtorch.simulation import ZERO_NOISE, NoiseModel, PlanUpdate, SimHook, SimSnapshot, SimTrace
 
 
 def phi_simpson(x: float, lo: float = -12.0, steps: int = 20000) -> float:
@@ -109,3 +115,296 @@ def first_fit_reference(tasks, resources, thresholds, fits=None):
         else:
             raise InfeasibleError(task.id, f"task '{task.id}' admits on no resource")
     return assignments
+
+
+_R_RELEASE = 0
+_R_IFR_END = 1
+_R_COMPLETE = 2
+_R_DEADLINE = 3
+_R_IFR_START = 4
+_R_MONITOR = 5
+
+
+@dataclass
+class ReferenceJob:
+    """One released instance of a task (the engine's job record before interning)."""
+
+    task: str
+    release_us: int
+    abs_deadline_us: int
+    demand_us: int
+    resource: str
+    executed_us: int = 0
+    first_start_us: int = -1
+    measure_start_us: int = -1
+    done: bool = False
+
+
+
+def sample_runtime_reference(model: ExecModel, noise: NoiseModel, rng: np.random.Generator) -> int:
+    """Draw one job demand: mixture-normal clamped to [cutoff_lo, wcet] plus noise.
+
+    Noise terms are non-negative, so the result never drops below cutoff_lo.
+    """
+    mu = float(model.mu_us)
+    if model.mixture:
+        u = rng.random()
+        acc = 0.0
+        for mode in model.mixture:
+            acc += mode.weight
+            if u < acc:
+                mu = float(model.mu_us + mode.offset_us)
+                break
+    if model.sigma_us > 0:
+        draw = rng.normal(mu, model.sigma_us)
+    else:
+        draw = mu
+    exec_us = min(max(int(round(draw)), model.cutoff_lo_us), model.wcet_us)
+    total = exec_us + noise.base_overhead_us
+    jitter = noise.latency_jitter
+    if jitter.sigma > 0.0 or jitter.mu > 0.0:
+        total += max(0, int(round(rng.normal(jitter.mu, jitter.sigma))))
+    return total
+
+
+class _ReferenceCpu:
+    __slots__ = ("spec", "rm", "ready", "running", "running_key", "run_since", "seq", "blocked_until")
+
+    def __init__(self, spec: ResourceState):
+        self.spec = spec
+        self.rm = spec.policy is Policy.RM
+        self.ready: list[tuple[tuple, ReferenceJob]] = []
+        self.running: ReferenceJob | None = None
+        self.running_key: tuple = ()
+        self.run_since = 0
+        self.seq = 0
+        self.blocked_until = 0
+
+
+def run_sim_reference(
+    plan: AllocationPlan | Mapping[str, str],
+    tasks: Sequence[TaskSpec],
+    resources: Sequence[ResourceState],
+    noise: NoiseModel = ZERO_NOISE,
+    duration_us: int = 1_000_000,
+    seed: int = 0,
+    hook: SimHook | None = None,
+) -> SimTrace:
+    """The event engine before interning: string kind tags, string heap ties, one
+    ``sample_runtime_reference`` call per job and ``rng.normal`` draws.
+
+    Simulate ``duration_us`` of scheduling and return the trace.
+
+    ``plan`` must assign every task to a known resource; unknown ids fail
+    before the clock starts.  ``duration_us`` must cover at least one period
+    of every task.  With a ``hook``, monitoring epochs fire every
+    ``hook.period_us`` and any returned PlanUpdate takes effect at each moved
+    task's next release (in-flight jobs finish where they started).
+    """
+    assignments = dict(plan.assignments) if isinstance(plan, AllocationPlan) else dict(plan)
+    task_map = {t.id: t for t in tasks}
+    cpu_map = {r.id: _ReferenceCpu(r) for r in resources}
+
+    for tid, rid in assignments.items():
+        if tid not in task_map:
+            raise ValueError(f"plan assigns unknown task '{tid}'")
+        if rid not in cpu_map:
+            raise ValueError(f"plan assigns task '{tid}' to unknown resource '{rid}'")
+    unassigned = sorted(set(task_map) - set(assignments))
+    if unassigned:
+        raise ValueError(f"plan leaves tasks unassigned: {', '.join(unassigned)}")
+    if tasks and duration_us < max(t.period_us for t in tasks):
+        raise ValueError("duration too short")
+
+    rng = np.random.default_rng(seed)
+    events: list[tuple[int, str, str, str]] = []
+    runtimes: dict[str, list[int]] = {t.id: [] for t in tasks}
+    open_jobs: dict[str, list[ReferenceJob]] = {t.id: [] for t in tasks}
+    next_release: dict[str, int] = {t.id: 0 for t in tasks}
+    evicted: set[str] = set()
+
+    heap: list[tuple[int, int, str, int, tuple]] = []
+    counter = 0
+
+    def push(time: int, rank: int, tie: str, payload: tuple) -> None:
+        nonlocal counter
+        counter += 1
+        heapq.heappush(heap, (time, rank, tie, counter, payload))
+
+    def job_key(cpu: _ReferenceCpu, job: ReferenceJob) -> tuple:
+        primary = task_map[job.task].period_us if cpu.rm else job.abs_deadline_us
+        return (1 if job.task in evicted else 0, primary, job.task, job.release_us)
+
+    def preempt(cpu: _ReferenceCpu, now: int) -> None:
+        """Return the running job to the ready queue, keeping the time it executed."""
+        run = cpu.running
+        run.executed_us += now - cpu.run_since
+        events.append((now, "preempt", run.task, cpu.spec.id))
+        heapq.heappush(cpu.ready, (job_key(cpu, run), run))
+        cpu.running = None
+        cpu.seq += 1
+
+    def dispatch(cpu: _ReferenceCpu, now: int) -> None:
+        """Give the CPU to the best ready job, preempting a worse running one."""
+        if cpu.blocked_until > now:
+            return
+        if cpu.running is not None:
+            if not cpu.ready or cpu.ready[0][0] >= cpu.running_key:
+                return
+            run = cpu.running
+            if run.demand_us - run.executed_us - (now - cpu.run_since) <= 0:
+                return  # finishing at this very instant; let its completion event land
+            preempt(cpu, now)
+        if not cpu.ready:
+            return
+        key, job = heapq.heappop(cpu.ready)
+        cpu.running = job
+        cpu.running_key = key
+        cpu.run_since = now
+        cpu.seq += 1
+        if job.executed_us == 0:
+            # runtime measurement anchors at the dispatch where real progress begins,
+            # so a zero-length dispatch segment does not inflate the measurement
+            job.measure_start_us = now
+        if job.first_start_us < 0:
+            job.first_start_us = now
+            events.append((now, "start", job.task, cpu.spec.id))
+        else:
+            events.append((now, "resume", job.task, cpu.spec.id))
+        push(now + job.demand_us - job.executed_us, _R_COMPLETE, job.task, ("complete", cpu, cpu.seq, job))
+
+    def apply_update(update: PlanUpdate, now: int) -> None:
+        for tid in sorted(update.assignments):
+            rid = update.assignments[tid]
+            if rid not in cpu_map:
+                raise ValueError(f"hook assigned task '{tid}' to unknown resource '{rid}'")
+            if assignments.get(tid) != rid:
+                events.append((now, "migrate", tid, rid))
+                assignments[tid] = rid
+        newly_evicted = set(update.evicted) - evicted
+        if newly_evicted:
+            evicted.update(newly_evicted)
+            for cpu in cpu_map.values():
+                cpu.ready = [(job_key(cpu, j), j) for _, j in cpu.ready]
+                heapq.heapify(cpu.ready)
+                if cpu.running is not None:
+                    cpu.running_key = job_key(cpu, cpu.running)
+                dispatch(cpu, now)
+
+    def snapshot(now: int) -> SimSnapshot:
+        nd = {}
+        for tid, jobs in open_jobs.items():
+            if jobs:
+                nd[tid] = jobs[0].abs_deadline_us
+            else:
+                t = task_map[tid]
+                assert t.deadline_us is not None
+                nd[tid] = next_release[tid] + t.deadline_us
+        return SimSnapshot(
+            now_us=now,
+            assignments=dict(assignments),
+            evicted=frozenset(evicted),
+            next_deadline_us=nd,
+            runtimes=runtimes,
+        )
+
+    for t in tasks:
+        push(0, _R_RELEASE, t.id, ("release", t.id))
+    if noise.interference is not None:
+        scale = 1e6 / noise.interference.rate_per_s
+        for r in resources:
+            first = max(1, int(round(rng.exponential(scale))))
+            if first < duration_us:
+                push(first, _R_IFR_START, r.id, ("ifr_start", r.id))
+    if hook is not None and hook.period_us < duration_us:
+        push(hook.period_us, _R_MONITOR, "", ("monitor",))
+
+    while heap:
+        now, _rank, _tie, _n, payload = heapq.heappop(heap)
+        if now > duration_us:
+            break
+        kind = payload[0]
+
+        if kind == "release":
+            tid = payload[1]
+            task = task_map[tid]
+            assert task.deadline_us is not None
+            rid = assignments[tid]
+            cpu = cpu_map[rid]
+            job = ReferenceJob(
+                task=tid,
+                release_us=now,
+                abs_deadline_us=now + task.deadline_us,
+                demand_us=sample_runtime_reference(task.exec_model, noise, rng),
+                resource=rid,
+            )
+            events.append((now, "release", tid, rid))
+            open_jobs[tid].append(job)
+            if job.abs_deadline_us <= duration_us:
+                push(job.abs_deadline_us, _R_DEADLINE, tid, ("deadline", job))
+            nxt = now + task.period_us
+            next_release[tid] = nxt
+            if nxt < duration_us:
+                push(nxt, _R_RELEASE, tid, ("release", tid))
+            heapq.heappush(cpu.ready, (job_key(cpu, job), job))
+            dispatch(cpu, now)
+
+        elif kind == "complete":
+            _, cpu, dseq, job = payload
+            if cpu.running is not job or cpu.seq != dseq:
+                continue  # superseded by a preemption
+            job.executed_us = job.demand_us
+            job.done = True
+            events.append((now, "complete", job.task, cpu.spec.id))
+            runtimes[job.task].append(now - job.measure_start_us)
+            jobs = open_jobs[job.task]
+            if jobs and jobs[0] is job:
+                jobs.pop(0)
+            else:
+                # a migrated task can finish a new job on its new CPU while an
+                # old overloaded job still drains on the previous one
+                jobs.remove(job)
+            cpu.running = None
+            cpu.seq += 1
+            dispatch(cpu, now)
+
+        elif kind == "deadline":
+            job = payload[1]
+            if not job.done:
+                events.append((now, "deadline_miss", job.task, job.resource))
+
+        elif kind == "ifr_start":
+            rid = payload[1]
+            cpu = cpu_map[rid]
+            assert noise.interference is not None
+            magnitude = noise.interference.magnitude_us
+            if cpu.blocked_until > now:
+                cpu.blocked_until += magnitude  # back-to-back interrupts queue up
+            else:
+                if cpu.running is not None:
+                    preempt(cpu, now)
+                cpu.blocked_until = now + magnitude
+            push(cpu.blocked_until, _R_IFR_END, rid, ("ifr_end", rid))
+            scale = 1e6 / noise.interference.rate_per_s
+            nxt = now + max(1, int(round(rng.exponential(scale))))
+            if nxt < duration_us:
+                push(nxt, _R_IFR_START, rid, ("ifr_start", rid))
+
+        elif kind == "ifr_end":
+            rid = payload[1]
+            cpu = cpu_map[rid]
+            if cpu.blocked_until != now:
+                continue  # extended by a later interrupt
+            dispatch(cpu, now)
+
+        elif kind == "monitor":
+            assert hook is not None
+            update = hook(snapshot(now))
+            if update is not None:
+                apply_update(update, now)
+            nxt = now + hook.period_us
+            if nxt < duration_us:
+                push(nxt, _R_MONITOR, "", ("monitor",))
+
+    return SimTrace(events=events, per_task_runtimes=runtimes)
+

@@ -285,6 +285,10 @@ ANALYZE = ["analyze", str(CAMERA_RUNTIMES), "--period-us", "125000"]
     pytest.param(ANALYZE + ["--threshold", "nan"], "--threshold", id="threshold-nan"),
     pytest.param(["simulate", "--scenario", str(SCENARIO_DIR / "table1_4units.json"), "--bin-width-us", "0"],
                  "--bin-width-us", id="bin-width-0"),
+    pytest.param(["simulate", "--scenario", str(SCENARIO_DIR / "table1_4units.json"), "--seed", "-1"],
+                 "--seed", id="simulate-seed-neg"),
+    pytest.param(["plan", "--scenario", str(SCENARIO_DIR / "conveyor.json"), "--strategy", "monte_carlo",
+                  "--seed", "-1"], "--seed", id="plan-seed-neg"),
 ])
 def test_out_of_range_options_exit_one_with_one_line(argv, option, tmp_path, capsys):
     out_dir = tmp_path / "run"
@@ -294,6 +298,77 @@ def test_out_of_range_options_exit_one_with_one_line(argv, option, tmp_path, cap
     assert err.count("\n") == 1
     assert option in err
     assert not out_dir.exists()  # rejected before anything ran
+
+
+def _noisy_conveyor():
+    """conveyor.json with jitter, interference and a mixture mode, so every section is present."""
+    data = json.loads((SCENARIO_DIR / "conveyor.json").read_text())
+    data["sim"]["noise"] = {"base_overhead_us": 40, "latency_jitter": {"mu_us": 0, "sigma_us": 30},
+                            "interference": {"rate_per_s": 40.0, "magnitude_us": 100}}
+    data["tasks"][2]["exec_model"]["mixture"] = [{"weight": 0.2, "offset_us": 1000}]
+    data["tasks"][1]["deadline_us"] = 100000
+    return data
+
+
+def _set(path, value):
+    def mutate(data):
+        *parents, last = path
+        for key in parents:
+            data = data[key]
+        data[last] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, field", [
+    pytest.param(_set(["sim"], "x"), "sim", id="sim-string"),
+    pytest.param(_set(["sim", "noise"], "x"), "sim.noise", id="noise-string"),
+    pytest.param(_set(["orchestrator"], ["x"]), "orchestrator", id="orchestrator-list"),
+    pytest.param(_set(["orchestrator", "thresholds"], "x"), "orchestrator.thresholds", id="thresholds-string"),
+    pytest.param(_set(["tasks", 0, "exec_model"], "x"), "tasks[0].exec_model", id="exec-model-string"),
+    pytest.param(_set(["sim", "noise", "latency_jitter"], [0, 30]), "sim.noise.latency_jitter",
+                 id="jitter-list"),
+    pytest.param(_set(["sim", "noise", "interference"], 5), "sim.noise.interference", id="interference-number"),
+    pytest.param(_set(["tasks", 0, "period_us"], 125000.5), "tasks[0].period_us", id="period-float"),
+    pytest.param(_set(["tasks", 0, "period_us"], "125000"), "tasks[0].period_us", id="period-string"),
+    pytest.param(_set(["tasks", 0, "budget_us"], True), "tasks[0].budget_us", id="budget-bool"),
+    pytest.param(_set(["tasks", 1, "deadline_us"], 100000.0), "tasks[1].deadline_us", id="deadline-float"),
+    pytest.param(_set(["tasks", 0, "exec_model", "mu_us"], 56250.5), "tasks[0].exec_model.mu_us",
+                 id="mu-float"),
+    pytest.param(_set(["tasks", 0, "exec_model", "sigma_us"], True), "tasks[0].exec_model.sigma_us",
+                 id="sigma-bool"),
+    pytest.param(_set(["tasks", 0, "exec_model", "cutoff_lo_us"], 31250.0),
+                 "tasks[0].exec_model.cutoff_lo_us", id="cutoff-float"),
+    pytest.param(_set(["tasks", 0, "exec_model", "wcet_us"], 81250.25), "tasks[0].exec_model.wcet_us",
+                 id="wcet-float"),
+    pytest.param(_set(["tasks", 2, "exec_model", "mixture", 0, "offset_us"], 1000.5),
+                 "tasks[2].exec_model.mixture[0].offset_us", id="mixture-offset-float"),
+    pytest.param(_set(["sim", "noise", "interference", "magnitude_us"], 100.5),
+                 "sim.noise.interference.magnitude_us", id="magnitude-float"),
+    pytest.param(_set(["sim", "noise", "base_overhead_us"], False), "sim.noise.base_overhead_us",
+                 id="overhead-bool"),
+    pytest.param(_set(["sim", "seed"], -1), "sim.seed", id="seed-negative"),
+])
+def test_malformed_scenario_exits_one_with_one_line(mutate, field, tmp_path, capsys):
+    data = _noisy_conveyor()
+    mutate(data)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    out_dir = tmp_path / "run"
+    for argv in (["simulate", "--scenario", str(path), "--out", str(out_dir)],
+                 ["plan", "--scenario", str(path)]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert f"error: {field}" in err
+    assert not out_dir.exists()
+
+
+def test_noisy_conveyor_base_is_accepted(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_noisy_conveyor()))
+    code, _, _ = run_cli(["plan", "--scenario", str(path)], capsys)
+    assert code == 0
 
 
 def test_analyze_accepts_a_ceiling_above_one(capsys):

@@ -1,5 +1,7 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from rtorch.reporting import (
     RunReport,
+    TaskStats,
     build_report,
     export_histogram,
     histogram_modes,
@@ -109,6 +112,43 @@ def test_report_json_round_trips(tmp_path):
     assert loaded == report.to_dict()
     assert loaded["skw"] == [1, 9]
     assert loaded["per_task"]["u1"]["count"] == 2
+
+
+# ids that could break a hand-written JSON writer: quotes, backslashes,
+# non-ASCII, control characters, and ids that spell the histogram's own key
+AWKWARD_IDS = ['"histogram": {}', '\n  "histogram": null', 'a"b', "back\\slash", "é", "日本", "tab\t", "", "z"]
+
+
+@st.composite
+def run_reports(draw):
+    ids = draw(st.lists(st.one_of(st.sampled_from(AWKWARD_IDS), st.text(max_size=6)), max_size=5, unique=True))
+    counts = st.integers(0, 10**6)
+    per_task = {
+        tid: TaskStats(count=draw(counts), mean_us=draw(st.floats()), stddev_us=draw(st.floats(0)),
+                       min_us=draw(counts), max_us=draw(counts), miss_count=draw(counts))
+        for tid in ids
+    }
+    width = draw(st.integers(1, 100))
+    histogram = {}
+    for tid in ids:
+        lo0 = draw(st.integers(-1_000, 10**6)) * width
+        histogram[tid] = [(lo0 + i * width, lo0 + (i + 1) * width, c)
+                          for i, c in enumerate(draw(st.lists(counts, max_size=6)))]
+    return RunReport(per_task=per_task, group_avg_us=draw(st.floats()),
+                     skw=(draw(counts), draw(counts)), sd_mx_us=draw(st.floats()),
+                     histogram=histogram, bin_width_us=width)
+
+
+@settings(max_examples=200)
+@given(run_reports())
+def test_report_json_equals_json_dump(report):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, expected = Path(tmp) / "report.json", Path(tmp) / "expected.json"
+        write_report_json(report, path)
+        with open(expected, "w") as fh:
+            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        assert path.read_bytes() == expected.read_bytes()
 
 
 def test_single_task_group_has_zero_skew():

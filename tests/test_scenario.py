@@ -159,6 +159,19 @@ def test_negative_interference_rejected():
         parse_scenario(bad)
 
 
+def test_negative_seed_rejected():
+    data = deep(BASE, sim={"duration_us": 1_000_000, "seed": -1})
+    with pytest.raises(ScenarioError, match="sim.seed: expected non-negative integer, got -1"):
+        parse_scenario(data)
+
+
+def test_fractional_period_rejected_not_truncated():
+    data = deep(BASE)
+    data["tasks"][0]["period_us"] = 125_000.5
+    with pytest.raises(ScenarioError, match=r"tasks\[0\]\.period_us: expected integer, got 125000\.5"):
+        parse_scenario(data)
+
+
 def test_malformed_json_reports_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "tasks": [,]\n}\n')

@@ -3,22 +3,24 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rtorch.model import ExecModel, Policy, ResourceState, TaskSpec
+from rtorch.model import ExecModel, MixtureMode, Policy, ResourceState, TaskSpec
 from rtorch.probability import NormalParams, joint_utilization, miss_probability
 from rtorch.simulation import (
     Interference,
     NoiseModel,
     PlanUpdate,
-    Job,
     SimTrace,
     read_runtimes_csv,
     run_sim,
+    runtime_sampler,
     sample_runtime,
     write_runtimes_csv,
     write_trace_csv,
 )
 
 import numpy as np
+
+from oracles import run_sim_reference, sample_runtime_reference
 
 
 def fixed_task(tid, period_us, exec_us, budget_us=None, deadline_us=None):
@@ -334,3 +336,123 @@ def test_trace_csv_format(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     assert path.read_text() == "time_us,kind,task,resource\n0,release,a,cpu0\n10,complete,a,cpu0\n"
+
+
+# ids whose sorted order differs from declaration order, with non-ASCII and digits
+TASK_IDS = ["t2", "t10", "T1", "cam_b", "cam_a", "é", "z"]
+CPU_IDS = ["cpu2", "cpu10", "CPU0", "b"]
+
+
+@st.composite
+def exec_models(draw, period):
+    mu = draw(st.integers(period // 20, (period * 3) // 5))
+    sigma = draw(st.sampled_from([0, mu // 10, mu // 4]))
+    lo = draw(st.integers(mu // 2, mu))
+    hi = draw(st.integers(mu, 2 * mu))
+    modes = draw(st.lists(
+        st.tuples(st.sampled_from([0.1, 0.25, 0.4]), st.integers(-mu // 2, mu // 2)), max_size=2))
+    mixture = tuple(MixtureMode(weight, offset) for weight, offset in modes)
+    return ExecModel(mu_us=mu, sigma_us=sigma, cutoff_lo_us=lo, wcet_us=hi, mixture=mixture)
+
+
+@st.composite
+def simulated_systems(draw):
+    """Small random systems for comparing the engine with ``run_sim_reference``."""
+    cpu_ids = draw(st.permutations(CPU_IDS))[:draw(st.integers(1, 4))]
+    resources = [ResourceState(id=rid, policy=draw(st.sampled_from(list(Policy))), u_max=1.0)
+                 for rid in cpu_ids]
+    task_ids = draw(st.permutations(TASK_IDS))[:draw(st.integers(1, 5))]
+    tasks = []
+    for tid in task_ids:
+        period = draw(st.sampled_from([2_000, 3_000, 5_000, 10_000]))
+        deadline = draw(st.sampled_from([period, period, (period * 3) // 4, period // 2]))
+        model = draw(exec_models(period))
+        tasks.append(TaskSpec(id=tid, period_us=period, budget_us=min(model.mu_us, deadline),
+                              exec_model=model, deadline_us=deadline))
+    jitter = draw(st.sampled_from([(0.0, 0.0), (25.0, 0.0), (0.0, 30.0), (10.0, 15.5)]))
+    interference = draw(st.one_of(
+        st.none(),
+        st.builds(Interference, st.sampled_from([200.0, 1_000.0, 3_000.0]), st.integers(10, 400))))
+    noise = NoiseModel(base_overhead_us=draw(st.sampled_from([0, 7, 50])),
+                       latency_jitter=NormalParams(*jitter), interference=interference)
+    plan = {t.id: draw(st.sampled_from(cpu_ids)) for t in tasks}
+    duration = draw(st.integers(10_000, 60_000))
+    hook = None
+    if draw(st.booleans()):
+        epochs = []
+        for _ in range(draw(st.integers(1, 4))):
+            moves = draw(st.dictionaries(st.sampled_from(task_ids), st.sampled_from(cpu_ids),
+                                         min_size=1, max_size=3))
+            evict = draw(st.sets(st.sampled_from(task_ids), max_size=2))
+            epochs.append(draw(st.sampled_from([None, (moves, evict)])))
+        hook = (draw(st.sampled_from([1_000, 2_500, 7_000])), epochs)
+    return tasks, resources, plan, noise, duration, hook
+
+
+class _ScriptedHook:
+    """Applies one scripted (moves, evictions) step per epoch and records every snapshot."""
+
+    def __init__(self, period_us, epochs):
+        self.period_us = period_us
+        self.epochs = epochs
+        self.seen = []
+
+    def __call__(self, snapshot):
+        self.seen.append((
+            snapshot.now_us, dict(snapshot.assignments), sorted(snapshot.evicted),
+            list(snapshot.next_deadline_us.items()),
+            [(tid, tuple(v)) for tid, v in snapshot.runtimes.items()],
+        ))
+        k = len(self.seen) - 1
+        if k >= len(self.epochs) or self.epochs[k] is None:
+            return None
+        moves, evict = self.epochs[k]
+        return PlanUpdate(assignments={**snapshot.assignments, **moves},
+                          evicted=frozenset(snapshot.evicted | evict))
+
+
+@settings(max_examples=120, deadline=None)
+@given(simulated_systems(), st.integers(0, 2**32 - 1))
+def test_engine_matches_reference_engine(system, seed):
+    tasks, resources, plan, noise, duration, script = system
+    runs = []
+    for engine in (run_sim, run_sim_reference):
+        hook = None if script is None else _ScriptedHook(*script)
+        trace = engine(plan, tasks, resources, noise=noise, duration_us=duration, seed=seed, hook=hook)
+        runs.append((trace, hook))
+    (trace, hook), (expected, expected_hook) = runs
+    assert trace.events == expected.events
+    assert list(trace.per_task_runtimes.items()) == list(expected.per_task_runtimes.items())
+    if hook is not None:
+        assert hook.seen == expected_hook.seen
+
+
+SAMPLER_CASES = [
+    (ExecModel(mu_us=1_000, sigma_us=120, cutoff_lo_us=0, wcet_us=10_000), NoiseModel()),
+    (ExecModel(mu_us=1_000, sigma_us=400, cutoff_lo_us=900, wcet_us=1_200),
+     NoiseModel(base_overhead_us=30, latency_jitter=NormalParams(0.0, 40.0))),
+    (ExecModel(mu_us=900, sigma_us=0, cutoff_lo_us=900, wcet_us=900),
+     NoiseModel(latency_jitter=NormalParams(25.0, 0.0))),
+    (ExecModel(mu_us=900, sigma_us=60, cutoff_lo_us=500, wcet_us=2_000,
+               mixture=(MixtureMode(0.25, 250), MixtureMode(0.1, -300))),
+     NoiseModel(base_overhead_us=80, latency_jitter=NormalParams(12.5, 7.25))),
+]
+
+
+@pytest.mark.parametrize("model, noise", SAMPLER_CASES)
+def test_runtime_sampler_equals_reference_draw_for_draw(model, noise):
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    sample = runtime_sampler(model, noise, rng)
+    assert [sample() for _ in range(3_000)] == [
+        sample_runtime_reference(model, noise, ref_rng) for _ in range(3_000)]
+    # same number of draws consumed, including a jitter whose sigma is zero
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert sample_runtime(model, noise, rng) == sample_runtime_reference(model, noise, ref_rng)
+
+
+@pytest.mark.parametrize("loc, scale", [(0.0, 1.0), (56_250.0, 6_250.0), (12.5, 7.25), (25.0, 0.0), (-3.75, 1e-3)])
+def test_scaled_standard_normal_equals_numpy_normal(loc, scale):
+    # the identity runtime_sampler relies on: rng.normal(loc, scale) is loc + scale * z
+    rng, ref_rng = np.random.default_rng(2024), np.random.default_rng(2024)
+    draws = [loc + scale * rng.standard_normal() for _ in range(20_000)]
+    assert draws == [ref_rng.normal(loc, scale) for _ in range(20_000)]
