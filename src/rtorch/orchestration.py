@@ -28,7 +28,14 @@ from .model import (
     ResourceState,
     TaskSpec,
 )
-from .probability import ULP, NormalParams, fit_normal, miss_probability_bounds
+from .probability import (
+    ULP,
+    NormalParams,
+    breach_cutoffs,
+    fit_normal,
+    tail_bounds,
+    tail_z_bounds,
+)
 from .simulation import PlanUpdate, SimSnapshot
 
 DEFAULT_THRESHOLDS: Mapping[Criticality, float] = {
@@ -250,7 +257,10 @@ class _ObjectiveScreen:
     Per (sample, resource) it sums utilization mean and variance and counts
     hosted tasks and criticality levels with ``np.bincount``.  Those sums are
     not ``fsum``-exact: each carries the rounding-error bound of a recursive
-    sum of its terms into ``miss_probability_bounds``.
+    sum of its terms into ``tail_z_bounds``.  The screen then stays in z
+    space: a cell breaches when its z is below its threshold's cutoff, and
+    since the tail falls as z grows, a sample's worst miss probability is one
+    tail, at its smallest z.
     """
 
     def __init__(self, view: SystemView, thresholds: Mapping[Criticality, float],
@@ -293,17 +303,19 @@ class _ObjectiveScreen:
         slack = (count + 4) * ULP
         mu_err = slack * per_cell(weights=np.abs(self.mu))
         var_err = slack * var
-        threshold = np.full((n, n_res), np.inf)
+        # unoccupied cells keep -inf cutoffs and never count as breached
+        sure = np.full((n, n_res), -np.inf)
+        clear = np.full((n, n_res), -np.inf)
         for value, columns in self.levels:
-            threshold[per_cell(columns) > 0] = value
+            hosted = per_cell(columns) > 0
+            sure[hosted], clear[hosted] = breach_cutoffs(value)
 
-        p_lo, p_hi = miss_probability_bounds(mu, mu_err, var, var_err, self.u_max)
-        occupied = count > 0
-        p_lo = np.where(occupied, p_lo, 0.0)
-        p_hi = np.where(occupied, p_hi, 0.0)
-        n_occupied = occupied.sum(axis=1).tolist()
-        lows = list(zip((p_lo > threshold).sum(axis=1).tolist(), p_lo.max(axis=1).tolist(), n_occupied))
-        highs = list(zip((p_hi > threshold).sum(axis=1).tolist(), p_hi.max(axis=1).tolist(), n_occupied))
+        # an unoccupied cell's zero load fits, so its z is +inf and its tail 0
+        z_lo, z_hi = tail_z_bounds(mu, mu_err, var, var_err, self.u_max)
+        worst_lo, worst_hi = tail_bounds(z_lo.min(axis=1), z_hi.min(axis=1))
+        n_occupied = (count > 0).sum(axis=1).tolist()
+        lows = list(zip((z_hi < sure).sum(axis=1).tolist(), worst_lo.tolist(), n_occupied))
+        highs = list(zip((z_lo < clear).sum(axis=1).tolist(), worst_hi.tolist(), n_occupied))
         return lows, highs
 
 

@@ -25,10 +25,15 @@ Malformed input raises ScenarioError naming the offending field (or the JSON
 parse position).  Sections must be JSON objects.  Integer fields, which are
 all ``_us`` durations except the latency jitter's ``mu_us`` and ``sigma_us``,
 must be JSON integers: ``125000.5`` or ``true`` is rejected, not truncated.
+The float fields (the jitter's ``mu_us`` and ``sigma_us``, the interference
+``rate_per_s``) must be finite.  Task and resource ids must be non-empty and
+hold no comma, whitespace or control character, so every id can be written
+to a CSV row and read back.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -88,6 +93,19 @@ def _integers(data: Mapping[str, Any], keys: tuple[str, ...], where: str) -> Non
             raise ScenarioError(f"{where}.{key}: expected integer, got {value!r}")
 
 
+def _finite(value: float, where: str) -> None:
+    if not math.isfinite(value):
+        raise ScenarioError(f"{where}: expected a finite number, got {value!r}")
+
+
+def _check_id(value: str, where: str) -> None:
+    """An id goes unquoted into CSV rows, so it must be one non-empty field."""
+    # control characters are Unicode category Cc: U+0000-U+001F and U+007F-U+009F
+    if not value or any(c == "," or c.isspace() or c < " " or "\x7f" <= c <= "\x9f" for c in value):
+        raise ScenarioError(f"{where}.id: expected a non-empty id without commas, whitespace or "
+                            f"control characters, got {value!r}")
+
+
 def _check_task(raw: Any, where: str) -> None:
     """Shape checks that ``TaskSpec.from_dict``'s lenient conversions would let through."""
     _integers(_object(raw, where), _TASK_INTEGERS, where)
@@ -117,6 +135,8 @@ def _parse_noise(data: Any, where: str) -> NoiseModel:
             jitter_params = NormalParams(float(jitter["mu_us"]), float(jitter["sigma_us"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"{where}.latency_jitter: needs numeric mu_us and sigma_us") from exc
+        _finite(jitter_params.mu, f"{where}.latency_jitter.mu_us")
+        _finite(jitter_params.sigma, f"{where}.latency_jitter.sigma_us")
         if jitter_params.sigma < 0:
             raise ScenarioError(f"{where}.latency_jitter.sigma_us: must be >= 0")
     ifr = data.get("interference")
@@ -127,6 +147,7 @@ def _parse_noise(data: Any, where: str) -> NoiseModel:
             interference = Interference(float(ifr["rate_per_s"]), int(ifr["magnitude_us"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"{where}.interference: needs rate_per_s and magnitude_us") from exc
+        _finite(interference.rate_per_s, f"{where}.interference.rate_per_s")
         if interference.rate_per_s <= 0 or interference.magnitude_us <= 0:
             raise ScenarioError(f"{where}.interference: rate and magnitude must be positive")
     return NoiseModel(base_overhead_us=base, latency_jitter=jitter_params, interference=interference)
@@ -186,6 +207,7 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
             task = TaskSpec.from_dict(raw)
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
+        _check_id(task.id, where)
         if task.id in seen_tasks:
             raise ScenarioError(f"{where}.id: duplicate task id '{task.id}'")
         seen_tasks.add(task.id)
@@ -206,6 +228,7 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
             res = ResourceState.from_dict(raw)
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
+        _check_id(res.id, where)
         if res.id in seen_resources:
             raise ScenarioError(f"{where}.id: duplicate resource id '{res.id}'")
         seen_resources.add(res.id)

@@ -431,18 +431,25 @@ def write_runtimes_csv(trace: SimTrace, path) -> None:
 
 def read_runtimes_csv(path) -> dict[str, list[int]]:
     """Parse a runtimes CSV back into per-task sample lists (insertion order kept)."""
+    # universal newlines turn \r\n and a lone \r into \n, so lines split as a file iterates them
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    header = lines[0].strip()
+    if header != "task,runtime_us":
+        raise ValueError(f"unexpected runtimes header: {header!r}")
     out: dict[str, list[int]] = {}
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if header != "task,runtime_us":
-            raise ValueError(f"unexpected runtimes header: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                task, value = line.split(",")
-                out.setdefault(task, []).append(int(value))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: malformed row {line!r}") from exc
+    task = samples = None  # rows come grouped by task, so the last list is usually the one
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        row_task, _, value = line.partition(",")
+        try:
+            runtime = int(value)  # also rejects a missing or a third field: "1,2" is no integer
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: malformed row {line!r}") from exc
+        if row_task != task:
+            task = row_task
+            samples = out.setdefault(task, [])
+        samples.append(runtime)
     return out

@@ -61,6 +61,36 @@ def two_pass_stats(samples) -> tuple[float, float]:
     return mean, var
 
 
+def ks_statistic_reference(samples, params) -> float:
+    """KS distance to N(mu, sigma) element by element: one CDF and both step gaps per sorted sample."""
+    xs = sorted(float(x) for x in samples)
+    n = len(xs)
+    d = 0.0
+    for i, x in enumerate(xs):
+        cdf = 0.5 * math.erfc(-(x - params.mu) / (params.sigma * math.sqrt(2.0)))
+        d = max(d, (i + 1) / n - cdf, cdf - i / n)
+    return d
+
+
+def read_runtimes_csv_reference(path) -> dict[str, list[int]]:
+    """The runtimes CSV reader as a file iteration: split each stripped line on commas."""
+    out: dict[str, list[int]] = {}
+    with open(path, newline="") as fh:
+        header = fh.readline().strip()
+        if header != "task,runtime_us":
+            raise ValueError(f"unexpected runtimes header: {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                task, value = line.split(",")
+                out.setdefault(task, []).append(int(value))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: malformed row {line!r}") from exc
+    return out
+
+
 def rm_bound_exact(n: int, dps: int = 50):
     """n*(2^(1/n) - 1) in arbitrary precision."""
     import mpmath

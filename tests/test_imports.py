@@ -1,6 +1,7 @@
 """Every module in src/rtorch uses each name it imports (no dead imports), and
-the CLI loads no heavy module that no command needs."""
+the CLI loads no heavy module that no command needs: no command loads SciPy."""
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -43,3 +44,41 @@ def test_cli_import_leaves_out_scipy_signal():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                             timeout=60, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_no_module_imports_scipy_at_module_level():
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert not any(name.split(".")[0] == "scipy" for name in names), path.name
+
+
+def test_no_command_loads_scipy(tmp_path):
+    """simulate under the Monte Carlo orchestrator, then analyze and a Monte Carlo plan, in one process."""
+    scenario = json.loads((REPO_ROOT / "scenarios" / "conveyor.json").read_text())
+    scenario["orchestrator"]["strategy"] = "monte_carlo"
+    scenario["orchestrator"]["mc_samples"] = 300
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "run"
+    probe = f"""
+import contextlib, io, json, sys
+from rtorch import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["simulate", "--scenario", {str(path)!r}, "--duration-us", "6000000",
+                       "--out", {str(out)!r}]),
+             cli.main(["analyze", {str(out / "runtimes.csv")!r}, "--period-us", "100000"]),
+             cli.main(["plan", "--scenario", {str(path)!r}, "--strategy", "monte_carlo"])]
+print(json.dumps({{"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}}))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                            timeout=120, check=True)
+    report = json.loads(result.stdout)
+    assert report["codes"][1:] == [0, 0] and report["codes"][0] in (0, 2)
+    # the runtime search ran: some epoch breached and took a Monte Carlo decision
+    decisions = [json.loads(line) for line in (out / "decisions.jsonl").read_text().splitlines()]
+    assert any(d["decision"] is not None for d in decisions)
+    assert report["scipy"] == []

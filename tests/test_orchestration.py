@@ -286,6 +286,54 @@ def test_mc_search_matches_scan_on_random_systems(system, seed, mc_samples, data
     assert plan_json(mc_reallocate(view, DEFAULT_THRESHOLDS, mc_samples, seed)) == plan_json(expected)
 
 
+@st.composite
+def screened_systems(draw):
+    """Mixed criticalities, thresholds 0 and 1, and deterministic groups that fill u_max exactly."""
+    u_max = draw(st.sampled_from([0.5, 0.7, 1.0]))
+    resources = [mk_cpu(f"cpu{i}", u_max=u_max) for i in range(draw(st.integers(1, 4)))]
+    tasks = []
+    for i in range(draw(st.integers(1, 8))):
+        period = draw(st.sampled_from([10, 100_000]))
+        # 0.1, 0.25 and 0.5 of a period fill 0.5, 0.7 and 1.0 exactly in some sums
+        mu = period * draw(st.sampled_from([1, 2, 5, 10])) // 20 or 1
+        sigma = draw(st.sampled_from([0, 0, 1, period // 100, period // 5]))
+        crit = draw(st.sampled_from(list(Criticality)))
+        tasks.append(mk_task(f"t{i}", period, mu, crit=crit, mu_us=mu, sigma_us=sigma))
+    assignments = {t.id: draw(st.sampled_from(resources)).id for t in tasks}
+    thresholds = {c: draw(st.sampled_from([0.0, 1e-12, 1e-4, 1e-2, 0.5, 1.0])) for c in Criticality}
+    ids = st.frozensets(st.sampled_from([t.id for t in tasks]))
+    view = mk_view(tasks, resources, assignments, cooldown=draw(ids), evicted=draw(ids))
+    return view, thresholds
+
+
+@settings(max_examples=150, deadline=None)
+@given(screened_systems(), st.integers(0, 2**32 - 1))
+def test_objective_screen_bounds_contain_plan_objective(system, seed):
+    view, thresholds = system
+    res_ids = list(view.resources)
+    movable = [tid for tid in view.tasks if tid not in view.cooldown]
+    picks = np.random.default_rng(seed).integers(0, len(res_ids), size=(64, len(movable)))
+    lows, highs = orchestration._ObjectiveScreen(view, thresholds, movable, res_ids).bounds(picks)
+    for row, low, high in zip(picks, lows, highs):
+        candidate = dict(view.assignments)
+        candidate.update(zip(movable, (res_ids[idx] for idx in row)))
+        exact = plan_objective(view, candidate, thresholds)
+        assert all(lo <= value <= hi for lo, value, hi in zip(low, exact, high)), (low, exact, high)
+
+
+def test_objective_screen_counts_a_deterministic_group_at_u_max_as_undecided():
+    """Seven 0.1 tasks on one 0.7 CPU: the fsum exceeds u_max by one ulp, the screen's sum
+    need not, so its bounds must leave the breach undecided and contain the exact count."""
+    view = exact_fill_system()
+    res_ids = list(view.resources)
+    movable = list(view.tasks)
+    picks = np.zeros((1, len(movable)), dtype=np.int64)
+    lows, highs = orchestration._ObjectiveScreen(view, DEFAULT_THRESHOLDS, movable, res_ids).bounds(picks)
+    assert plan_objective(view, view.assignments, DEFAULT_THRESHOLDS) == (1, 1.0, 1)
+    assert lows[0] == (0, 0.0, 1)
+    assert highs[0] == (1, 1.0, 1)
+
+
 def test_mc_search_on_one_cpu_scores_only_the_incumbent(monkeypatch):
     calls = []
     monkeypatch.setattr(orchestration, "plan_objective",

@@ -14,11 +14,13 @@ from rtorch.probability import (
     joint_utilization,
     ks_statistic,
     ULP,
+    breach_cutoffs,
     miss_probability,
-    miss_probability_bounds,
+    tail_bounds,
+    tail_z_bounds,
 )
 
-from oracles import mc_group_miss_fraction, phi_simpson, two_pass_stats
+from oracles import ks_statistic_reference, mc_group_miss_fraction, phi_simpson, two_pass_stats
 
 
 def make_task(tid, period, budget):
@@ -225,7 +227,7 @@ def near_boundary_groups(draw):
 
 
 @given(near_boundary_groups(), st.floats(0.05, 1.0), st.booleans())
-def test_miss_probability_bounds_contain_the_exact_tail(models, u_max, on_boundary):
+def test_tail_z_bounds_contain_the_exact_tail(models, u_max, on_boundary):
     mu_terms = [m.mu / period for m, period in models]
     var_terms = [(m.sigma / period) ** 2 for m, period in models]
     mu = var = 0.0
@@ -235,7 +237,79 @@ def test_miss_probability_bounds_contain_the_exact_tail(models, u_max, on_bounda
     if on_boundary:
         u_max = mu
     slack = (len(models) + 4) * ULP
-    lo, hi = miss_probability_bounds(np.array([mu]), np.array([slack * math.fsum(mu_terms)]),
-                                     np.array([var]), np.array([slack * var]), np.array([u_max]))
-    exact = miss_probability(joint_utilization(models), u_max)
+    z_lo, z_hi = tail_z_bounds(np.array([mu]), np.array([slack * math.fsum(mu_terms)]),
+                               np.array([var]), np.array([slack * var]), np.array([u_max]))
+    joint = joint_utilization(models)
+    exact = miss_probability(joint, u_max)
+    if joint.sigma > 0.0:
+        assert z_lo[0] <= (u_max - joint.mu) / joint.sigma <= z_hi[0]
+    lo, hi = tail_bounds(z_lo, z_hi)
     assert lo[0] <= exact <= hi[0]
+
+
+def test_tail_bounds_are_exact_at_infinite_z():
+    lo, hi = tail_bounds(np.array([-np.inf, np.inf, -np.inf]), np.array([-np.inf, np.inf, np.inf]))
+    assert lo.tolist() == [1.0, 0.0, 0.0]
+    assert hi.tolist() == [1.0, 0.0, 1.0]
+
+
+def test_tail_bounds_take_one_tail_per_distinct_end(monkeypatch):
+    calls = []
+    erfc = math.erfc
+    monkeypatch.setattr(math, "erfc", lambda x: calls.append(x) or erfc(x))
+    lo, hi = tail_bounds(np.array([1.0, 1.0, 2.0, 1.0]), np.array([2.0, 2.0, 3.0, 2.0]))
+    assert len(calls) == 3
+    assert lo.tolist() == [lo[0], lo[0], lo[2], lo[0]] and lo[2] < lo[0] < hi[2] < hi[0]
+
+
+def phi_quantile_bisect(p: float) -> float:
+    """x with Phi(x) = p, by bisection of math.erfc (enough for a 1e-5 check)."""
+    lo, hi = -40.0, 40.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if 0.5 * math.erfc(-mid / math.sqrt(2.0)) < p:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1e-300, 1e-12, 1e-4, 1e-2, 0.05, 0.5, 0.9999995, 1.0])
+def test_breach_cutoffs_separate_breaches_from_clear_groups(threshold):
+    sure, clear = breach_cutoffs(threshold)
+    assert sure <= clear
+    if threshold >= 1.0:
+        assert (sure, clear) == (-math.inf, -math.inf)
+        return
+    if math.isfinite(sure):
+        for z in (sure, math.nextafter(sure, -math.inf), sure - 1e-9, sure - 1.0):
+            assert miss_probability(NormalParams(-z, 1.0), 0.0) > threshold
+    if math.isfinite(clear):
+        for z in (clear, math.nextafter(clear, math.inf), clear + 1e-9, clear + 1.0):
+            assert miss_probability(NormalParams(-z, 1.0), 0.0) <= threshold
+    # the cutoffs sit where the tail crosses the threshold, not somewhere safe but loose
+    if 1e-290 < threshold < 0.999:
+        crossing = -phi_quantile_bisect(threshold)
+        assert crossing - 1e-5 < sure <= clear < crossing + 1e-5
+
+
+def test_breach_cutoffs_are_cached():
+    breach_cutoffs.cache_clear()
+    breach_cutoffs(1e-4)
+    breach_cutoffs(1e-4)
+    assert breach_cutoffs.cache_info().hits == 1
+
+
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=400), st.floats(-5.0, 20.0),
+       st.floats(0.05, 10.0))
+def test_ks_statistic_matches_per_element_reference_on_ties(samples, mu, sigma):
+    params = NormalParams(mu, sigma)
+    assert abs(ks_statistic(samples, params) - ks_statistic_reference(samples, params)) <= 1e-15
+
+
+def test_ks_statistic_takes_one_tail_per_distinct_value(monkeypatch):
+    calls = []
+    erfc = math.erfc
+    monkeypatch.setattr(math, "erfc", lambda x: calls.append(x) or erfc(x))
+    ks_statistic([3, 1, 3, 2, 1, 1, 3], NormalParams(2.0, 1.0))
+    assert len(calls) == 3

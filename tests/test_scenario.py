@@ -1,11 +1,15 @@
 import json
+import tempfile
+import unicodedata
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from rtorch.model import Criticality, Policy
 from rtorch.orchestration import Strategy
 from rtorch.scenario import ScenarioError, load_scenario, parse_scenario
+from rtorch.simulation import SimTrace, read_runtimes_csv, write_runtimes_csv
 
 BASE = {
     "tasks": [
@@ -205,3 +209,23 @@ def test_settings_round_trip_through_json(duration, seed, strategy):
     assert scenario.sim.duration_us == duration
     assert scenario.sim.seed == seed
     assert scenario.orchestrator.strategy.value == strategy
+
+
+@given(st.text(max_size=6))
+def test_accepted_task_ids_survive_the_runtimes_csv(tid):
+    assume(tid != "bg")  # a duplicate of the other task's id
+    data = deep(BASE)
+    data["tasks"][0]["id"] = tid
+    data["initial_plan"] = {tid: "cpu0", "bg": "cpu1"}
+    try:
+        scenario = parse_scenario(data)
+    except ScenarioError as exc:
+        assert str(exc).startswith("tasks[0].id: ")
+        assert not tid or any(c == "," or c.isspace() or unicodedata.category(c) == "Cc" for c in tid)
+        return
+    assert scenario.tasks[0].id == tid
+    # what simulate writes, analyze reads back
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "runtimes.csv"
+        write_runtimes_csv(SimTrace(events=[], per_task_runtimes={tid: [7, 9], "bg": [1]}), path)
+        assert read_runtimes_csv(path) == {tid: [7, 9], "bg": [1]}

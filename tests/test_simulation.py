@@ -1,4 +1,6 @@
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,7 @@ from rtorch.simulation import (
 
 import numpy as np
 
-from oracles import run_sim_reference, sample_runtime_reference
+from oracles import read_runtimes_csv_reference, run_sim_reference, sample_runtime_reference
 
 
 def fixed_task(tid, period_us, exec_us, budget_us=None, deadline_us=None):
@@ -456,3 +458,29 @@ def test_scaled_standard_normal_equals_numpy_normal(loc, scale):
     rng, ref_rng = np.random.default_rng(2024), np.random.default_rng(2024)
     draws = [loc + scale * rng.standard_normal() for _ in range(20_000)]
     assert draws == [ref_rng.normal(loc, scale) for _ in range(20_000)]
+
+
+_CSV_ROWS = st.one_of(
+    st.tuples(st.sampled_from(["a", "b", "c", " a", "a ", "", "a,b"]),
+              st.sampled_from(["1", " 2", "30 ", "-4", "1_000", "x", "", "1,2", "1.5"]))
+    .map(lambda row: ",".join(row)),
+    st.sampled_from(["", "   ", "a", ",", "\t"]),
+)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(["task,runtime_us", " task,runtime_us\t", "task, runtime_us", ""]),
+       st.lists(_CSV_ROWS, max_size=12), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
+def test_runtimes_csv_reader_matches_reference(header, rows, newline, trailing):
+    text = newline.join([header, *rows]) + (newline if trailing else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "runtimes.csv"
+        path.write_bytes(text.encode())
+
+        def outcome(reader):
+            try:
+                return reader(path)
+            except ValueError as exc:
+                return f"error: {exc}"
+
+        assert outcome(read_runtimes_csv) == outcome(read_runtimes_csv_reference)
