@@ -26,7 +26,7 @@ parse position).  Sections must be JSON objects.  Integer fields, which are
 all ``_us`` durations except the latency jitter's ``mu_us`` and ``sigma_us``,
 must be JSON integers: ``125000.5`` or ``true`` is rejected, not truncated.
 The float fields (the jitter's ``mu_us`` and ``sigma_us``, the interference
-``rate_per_s``) must be finite.  Task and resource ids must be non-empty and
+``rate_per_s``) must be finite, and ``rate_per_s * magnitude_us`` at most 1e6.  Task and resource ids must be non-empty and
 hold no comma, whitespace or control character, so every id can be written
 to a CSV row and read back.
 """
@@ -150,6 +150,11 @@ def _parse_noise(data: Any, where: str) -> NoiseModel:
         _finite(interference.rate_per_s, f"{where}.interference.rate_per_s")
         if interference.rate_per_s <= 0 or interference.magnitude_us <= 0:
             raise ScenarioError(f"{where}.interference: rate and magnitude must be positive")
+        # each event blocks its CPU for magnitude_us, so past this rate a CPU would
+        # be expected to be blocked more than all of the time
+        if interference.rate_per_s * interference.magnitude_us > 1e6:
+            raise ScenarioError(f"{where}.interference.rate_per_s: expected at most 1e6 / magnitude_us "
+                                f"= {1e6 / interference.magnitude_us:g}, got {interference.rate_per_s!r}")
     return NoiseModel(base_overhead_us=base, latency_jitter=jitter_params, interference=interference)
 
 

@@ -1,9 +1,10 @@
 """Seeded discrete-event simulation of preemptive EDF/RM scheduling on CPUs.
 
 Time is integer microseconds throughout, which keeps event ordering exact and
-runs byte-for-byte reproducible from (inputs, seed).  Randomness comes from a
-single NumPy PCG64 generator, which every task's sampler (``runtime_sampler``)
-shares; draws happen in event-processing order, which is itself a total order:
+runs byte-for-byte reproducible from (inputs, seed).  ``SeedSequence(seed)``
+gives each task its own demand streams (``demand_stream``) and each CPU its own
+interference gaps, so a task's j-th demand depends only on the seed, the task's
+rank in sorted-id order and j.  Events are processed in a total order:
 
     (timestamp, kind rank, id, insertion counter)
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Protocol, Sequence
+from typing import Iterator, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -128,52 +129,51 @@ class SimHook(Protocol):
     def __call__(self, snapshot: SimSnapshot) -> Optional[PlanUpdate]: ...
 
 
-def runtime_sampler(model: ExecModel, noise: NoiseModel, rng: np.random.Generator) -> Callable[[], int]:
-    """Return a function that draws one job demand of ``model`` under ``noise`` from ``rng``.
+_DEMAND_BLOCK = 256  # demands per NumPy call; the values do not depend on it
+_EXACT = 2**52  # below this, integer-valued float64 sums are exact
 
-    A demand is the mixture-normal runtime clamped to [cutoff_lo, wcet], plus
-    the base overhead, plus the latency jitter truncated at zero.  Noise terms
-    are non-negative, so a demand never drops below cutoff_lo.  Normals are
-    drawn as ``mu + sigma * rng.standard_normal()``, which is how NumPy defines
-    ``rng.normal(mu, sigma)``; a jitter with a positive mu or sigma consumes
-    one draw per job even when its sigma is zero.
+
+def demand_stream(model: ExecModel, noise: NoiseModel, seed: np.random.SeedSequence, releases: int,
+                  block: int = _DEMAND_BLOCK) -> Iterator[int]:
+    """Yield the demands of a task's first ``releases`` jobs, drawn from ``seed`` alone.
+
+    A demand is the mixture-normal runtime rounded half to even and clamped
+    to [cutoff_lo, wcet], plus the base overhead, plus the latency jitter
+    rounded and truncated at zero, so it never drops below cutoff_lo.  Each
+    job takes from a PCG64 seeded by ``seed`` the runtime's standard normal z
+    (if sigma is positive), then the jitter's (if its sigma is positive), as
+    ``mu + sigma * z``; a mixture picks each job's mode with one uniform from
+    that PCG64 jumped ahead (``PCG64.jumped``).  NumPy draws the same numbers
+    however a sequence is split, so ``block`` does not change the demands.
     """
-    standard_normal = rng.standard_normal
-    uniform = rng.random
-    mu = float(model.mu_us)
+    bits = np.random.PCG64(seed)
+    normal = np.random.Generator(bits).standard_normal
+    uniform = np.random.Generator(bits.jumped()).random if model.mixture else None
+    bounds = list(itertools.accumulate(mode.weight for mode in model.mixture))
+    means = np.array([model.mu_us + mode.offset_us for mode in model.mixture] + [model.mu_us], dtype=float)
     sigma = float(model.sigma_us)
-    modes = []
-    acc = 0.0
-    for mode in model.mixture:
-        acc += mode.weight
-        modes.append((acc, float(model.mu_us + mode.offset_us)))
     lo, hi = model.cutoff_lo_us, model.wcet_us
-    overhead = noise.base_overhead_us
-    jitter = noise.latency_jitter
-    jittered = jitter.sigma > 0.0 or jitter.mu > 0.0
-    jitter_mu, jitter_sigma = float(jitter.mu), float(jitter.sigma)
-
-    def sample() -> int:
-        draw = mu
-        if modes:
-            u = uniform()
-            for bound, mode_mu in modes:
-                if u < bound:
-                    draw = mode_mu
-                    break
+    jitter_mu, jitter_sigma = float(noise.latency_jitter.mu), float(noise.latency_jitter.sigma)
+    # a jitter without spread is a constant, folded into the overhead with no draw
+    offset = noise.base_overhead_us + (0 if jitter_sigma > 0.0 else max(0, round(jitter_mu)))
+    width = (sigma > 0.0) + (jitter_sigma > 0.0)
+    exact = max(abs(lo), abs(hi)) + offset < _EXACT
+    jitter = 0.0
+    while releases > 0:
+        n = min(releases, block)
+        releases -= n
+        z = normal(n * width).reshape(n, width)
+        draw = means[np.searchsorted(bounds, uniform(n), side="right")] if uniform else np.full(n, means[-1])
         if sigma > 0.0:
-            draw += sigma * standard_normal()
-        demand = min(max(round(draw), lo), hi) + overhead
-        if jittered:
-            demand += max(0, round(jitter_mu + jitter_sigma * standard_normal()))
-        return demand
-
-    return sample
-
-
-def sample_runtime(model: ExecModel, noise: NoiseModel, rng: np.random.Generator) -> int:
-    """Draw one job demand; see ``runtime_sampler``."""
-    return runtime_sampler(model, noise, rng)()
+            draw += sigma * z[:, 0]
+        runtime = np.rint(draw)
+        if jitter_sigma > 0.0:
+            jitter = np.maximum(np.rint(jitter_mu + jitter_sigma * z[:, -1]), 0.0)
+        if exact and np.max(jitter) < _EXACT:
+            yield from (np.clip(runtime, lo, hi) + (jitter + offset)).astype(np.int64).tolist()
+        else:  # demands past float precision: clamp and add as Python integers
+            for r, j in zip(runtime.tolist(), np.broadcast_to(jitter, n).tolist()):
+                yield min(max(int(r), lo), hi) + offset + int(j)
 
 
 class _Cpu:
@@ -226,13 +226,17 @@ def run_sim(
 
     # Tasks are interned to their rank in sorted-id order, so int heap ties
     # order exactly as the id strings would; per-task state is indexed by it.
-    rng = np.random.default_rng(seed)
+    # task and CPU children are spawned in sorted-id order, so adding an id that
+    # sorts last leaves every other stream as it was
+    task_seeds, cpu_seeds = np.random.SeedSequence(seed).spawn(2)
     ids = sorted(task_map)
     index = {tid: i for i, tid in enumerate(ids)}
     specs = [task_map[tid] for tid in ids]
     period = [t.period_us for t in specs]
     deadline = [t.deadline_us for t in specs]
-    sampler = [runtime_sampler(t.exec_model, noise, rng) for t in specs]
+    # releases fall at k * period < duration_us, so a task releases ceil(duration / period) jobs
+    demand = [demand_stream(t.exec_model, noise, s, -(-duration_us // t.period_us)).__next__
+              for t, s in zip(specs, task_seeds.spawn(len(specs)))]
     where = [cpu_map[assignments[tid]] for tid in ids]
     demoted = [0] * len(ids)
     open_jobs: list[list[Job]] = [[] for _ in ids]
@@ -335,9 +339,10 @@ def run_sim(
     if ifr is not None:
         magnitude = ifr.magnitude_us
         scale = 1e6 / ifr.rate_per_s
-        exponential = rng.exponential
+        exponential = [np.random.Generator(np.random.PCG64(s)).exponential
+                       for s in cpu_seeds.spawn(len(cpu_rank))]
         for r in resources:
-            first = max(1, int(round(exponential(scale))))
+            first = max(1, int(round(exponential[cpu_rank[r.id]](scale))))
             if first < duration_us:
                 cpu = cpu_map[r.id]
                 heappush(heap, (first, _R_IFR_START, cpu.index, next(counter), cpu, 0))
@@ -351,7 +356,7 @@ def run_sim(
 
         if rank == _R_RELEASE:
             cpu = where[tie]
-            job = Job(tie, cpu, now, now + deadline[tie], sampler[tie]())
+            job = Job(tie, cpu, now, now + deadline[tie], demand[tie]())
             append((now, "release", ids[tie], cpu.id))
             open_jobs[tie].append(job)
             if job.abs_deadline_us <= duration_us:
@@ -395,7 +400,7 @@ def run_sim(
                     preempt(cpu, now)
                 cpu.blocked_until = now + magnitude
             heappush(heap, (cpu.blocked_until, _R_IFR_END, tie, next(counter), cpu, 0))
-            nxt = now + max(1, int(round(exponential(scale))))
+            nxt = now + max(1, int(round(exponential[tie](scale))))
             if nxt < duration_us:
                 heappush(heap, (nxt, _R_IFR_START, tie, next(counter), cpu, 0))
 

@@ -171,30 +171,32 @@ class ReferenceJob:
 
 
 
-def sample_runtime_reference(model: ExecModel, noise: NoiseModel, rng: np.random.Generator) -> int:
-    """Draw one job demand: mixture-normal clamped to [cutoff_lo, wcet] plus noise.
+def demand_stream_reference(model: ExecModel, noise: NoiseModel, seed: np.random.SeedSequence):
+    """Yield job demands one at a time: scalar ``rng.random`` and ``rng.normal`` calls on
+    the generators ``simulation.demand_stream`` seeds, clamped and summed as Python integers.
 
     Noise terms are non-negative, so the result never drops below cutoff_lo.
     """
-    mu = float(model.mu_us)
-    if model.mixture:
-        u = rng.random()
-        acc = 0.0
-        for mode in model.mixture:
-            acc += mode.weight
-            if u < acc:
-                mu = float(model.mu_us + mode.offset_us)
-                break
-    if model.sigma_us > 0:
-        draw = rng.normal(mu, model.sigma_us)
-    else:
-        draw = mu
-    exec_us = min(max(int(round(draw)), model.cutoff_lo_us), model.wcet_us)
-    total = exec_us + noise.base_overhead_us
+    bits = np.random.PCG64(seed)
+    rng, modes = np.random.Generator(bits), np.random.Generator(bits.jumped())
     jitter = noise.latency_jitter
-    if jitter.sigma > 0.0 or jitter.mu > 0.0:
-        total += max(0, int(round(rng.normal(jitter.mu, jitter.sigma))))
-    return total
+    while True:
+        mu = float(model.mu_us)
+        if model.mixture:
+            u = modes.random()
+            acc = 0.0
+            for mode in model.mixture:
+                acc += mode.weight
+                if u < acc:
+                    mu = float(model.mu_us + mode.offset_us)
+                    break
+        draw = rng.normal(mu, model.sigma_us) if model.sigma_us > 0 else mu
+        total = min(max(int(round(draw)), model.cutoff_lo_us), model.wcet_us) + noise.base_overhead_us
+        if jitter.sigma > 0.0:
+            total += max(0, int(round(rng.normal(jitter.mu, jitter.sigma))))
+        else:
+            total += max(0, int(round(jitter.mu)))
+        yield total
 
 
 class _ReferenceCpu:
@@ -220,8 +222,10 @@ def run_sim_reference(
     seed: int = 0,
     hook: SimHook | None = None,
 ) -> SimTrace:
-    """The event engine before interning: string kind tags, string heap ties, one
-    ``sample_runtime_reference`` call per job and ``rng.normal`` draws.
+    """The event engine before interning: string kind tags, string heap ties, and
+    per-job scalar draws from ``demand_stream_reference`` on each task's child of
+    ``SeedSequence(seed).spawn(2)[0]`` and per-event interference gaps on each
+    CPU's child of ``spawn(2)[1]``, children taken in sorted-id order.
 
     Simulate ``duration_us`` of scheduling and return the trace.
 
@@ -246,7 +250,11 @@ def run_sim_reference(
     if tasks and duration_us < max(t.period_us for t in tasks):
         raise ValueError("duration too short")
 
-    rng = np.random.default_rng(seed)
+    task_root, cpu_root = np.random.SeedSequence(seed).spawn(2)
+    demands = {tid: demand_stream_reference(task_map[tid].exec_model, noise, child)
+               for tid, child in zip(sorted(task_map), task_root.spawn(len(task_map)))}
+    gap_rngs = {rid: np.random.default_rng(child)
+                for rid, child in zip(sorted(cpu_map), cpu_root.spawn(len(cpu_map)))}
     events: list[tuple[int, str, str, str]] = []
     runtimes: dict[str, list[int]] = {t.id: [] for t in tasks}
     open_jobs: dict[str, list[ReferenceJob]] = {t.id: [] for t in tasks}
@@ -343,7 +351,7 @@ def run_sim_reference(
     if noise.interference is not None:
         scale = 1e6 / noise.interference.rate_per_s
         for r in resources:
-            first = max(1, int(round(rng.exponential(scale))))
+            first = max(1, int(round(gap_rngs[r.id].exponential(scale))))
             if first < duration_us:
                 push(first, _R_IFR_START, r.id, ("ifr_start", r.id))
     if hook is not None and hook.period_us < duration_us:
@@ -365,7 +373,7 @@ def run_sim_reference(
                 task=tid,
                 release_us=now,
                 abs_deadline_us=now + task.deadline_us,
-                demand_us=sample_runtime_reference(task.exec_model, noise, rng),
+                demand_us=next(demands[tid]),
                 resource=rid,
             )
             events.append((now, "release", tid, rid))
@@ -416,7 +424,7 @@ def run_sim_reference(
                 cpu.blocked_until = now + magnitude
             push(cpu.blocked_until, _R_IFR_END, rid, ("ifr_end", rid))
             scale = 1e6 / noise.interference.rate_per_s
-            nxt = now + max(1, int(round(rng.exponential(scale))))
+            nxt = now + max(1, int(round(gap_rngs[rid].exponential(scale))))
             if nxt < duration_us:
                 push(nxt, _R_IFR_START, rid, ("ifr_start", rid))
 

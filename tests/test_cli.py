@@ -1,10 +1,14 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import DATA_DIR, SCENARIO_DIR
 from rtorch import cli
+from rtorch.scenario import ScenarioError, parse_scenario
 
 CAMERA_RUNTIMES = DATA_DIR / "camera_runtimes.csv"
 
@@ -320,10 +324,6 @@ def _set(path, value):
     return mutate
 
 
-# an infinite rate would start an interference event every microsecond, so only plan reads these
-PLAN_ONLY = {"interference-rate-inf"}
-
-
 @pytest.mark.parametrize("mutate, field", [
     pytest.param(_set(["sim"], "x"), "sim", id="sim-string"),
     pytest.param(_set(["sim", "noise"], "x"), "sim.noise", id="noise-string"),
@@ -364,6 +364,8 @@ PLAN_ONLY = {"interference-rate-inf"}
                  "sim.noise.interference.rate_per_s", id="interference-rate-inf"),
     pytest.param(_set(["sim", "noise", "interference", "rate_per_s"], math.nan),
                  "sim.noise.interference.rate_per_s", id="interference-rate-nan"),
+    pytest.param(_set(["sim", "noise", "interference"], {"rate_per_s": 1e9, "magnitude_us": 1}),
+                 "sim.noise.interference.rate_per_s", id="interference-rate-huge"),
     pytest.param(_set(["tasks", 0, "id"], "cam,a"), "tasks[0].id", id="task-id-comma"),
     pytest.param(_set(["tasks", 0, "id"], ""), "tasks[0].id", id="task-id-empty"),
     pytest.param(_set(["tasks", 1, "id"], "cam a"), "tasks[1].id", id="task-id-space"),
@@ -371,16 +373,13 @@ PLAN_ONLY = {"interference-rate-inf"}
     pytest.param(_set(["resources", 1, "id"], "cpu\t1"), "resources[1].id", id="resource-id-tab"),
     pytest.param(_set(["resources", 0, "id"], "cpu,0"), "resources[0].id", id="resource-id-comma"),
 ])
-def test_malformed_scenario_exits_one_with_one_line(mutate, field, tmp_path, capsys, request):
+def test_malformed_scenario_exits_one_with_one_line(mutate, field, tmp_path, capsys):
     data = _noisy_conveyor()
     mutate(data)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
     out_dir = tmp_path / "run"
-    commands = [["plan", "--scenario", str(path)]]
-    if request.node.callspec.id not in PLAN_ONLY:
-        commands.insert(0, ["simulate", "--scenario", str(path), "--out", str(out_dir)])
-    for argv in commands:
+    for argv in (["simulate", "--scenario", str(path), "--out", str(out_dir)], ["plan", "--scenario", str(path)]):
         code, out, err = run_cli(argv, capsys)
         assert code == 1
         assert out == ""
@@ -410,3 +409,82 @@ def test_log_env_variable_is_accepted(tmp_path, capsys, monkeypatch):
         capsys,
     )
     assert code == 0
+
+
+# Values of the wrong type, sign or size for any field; huge integers are left out of
+# duration_us and mc_samples, which set how much work a run asks for.
+_JUNK = [None, "x", "", True, -1, 0, 1.5, math.nan, math.inf, -math.inf, [], {}]
+_HUGE = 10**30
+
+
+@st.composite
+def _scenarios(draw):
+    """Small scenarios, mostly valid: at most three tasks and three CPUs, at most 20 ms
+    simulated, interference under its rate bound; then up to two fields replaced by junk."""
+    n_cpus = draw(st.integers(1, 3))
+    resources = [{"id": f"cpu{j}", "policy": draw(st.sampled_from(["EDF", "RM"])),
+                  "u_max": draw(st.sampled_from([0.5, 0.69, 1.0])),
+                  "criticality": draw(st.sampled_from(["hard", "soft"]))} for j in range(n_cpus)]
+    tasks = []
+    for i in range(draw(st.integers(1, 3))):
+        period = draw(st.sampled_from([1_000, 2_500, 10_000]))
+        deadline = draw(st.integers(period // 2, period))
+        mu = draw(st.integers(1, period))
+        model = {"mu_us": mu, "sigma_us": draw(st.integers(0, mu)),
+                 "cutoff_lo_us": draw(st.integers(0, mu)), "wcet_us": draw(st.integers(mu, 2 * period))}
+        if draw(st.booleans()):
+            model["mixture"] = [{"weight": draw(st.sampled_from([0.1, 0.3, 0.5])),
+                                 "offset_us": draw(st.integers(-mu, mu))}]
+        tasks.append({"id": f"t{i}", "period_us": period, "deadline_us": deadline,
+                      "budget_us": draw(st.integers(1, deadline)), "exec_model": model,
+                      "criticality": draw(st.sampled_from(["hard", "soft", "best_effort"]))})
+    jitter = draw(st.one_of(st.none(), st.fixed_dictionaries({
+        "mu_us": st.floats(-100, 100), "sigma_us": st.sampled_from([0.0, 20.0, 1e300])})))
+    interference = None
+    if draw(st.booleans()):
+        magnitude = draw(st.sampled_from([1, 10, 300, 2_000]))
+        interference = {"rate_per_s": draw(st.floats(1.0, 1e6)) / magnitude, "magnitude_us": magnitude}
+    data = {
+        "tasks": tasks,
+        "resources": resources,
+        "sim": {"duration_us": draw(st.integers(10_000, 20_000)), "seed": draw(st.integers(0, 2**64)),
+                "noise": {"base_overhead_us": draw(st.sampled_from([0, 50])),
+                          "latency_jitter": jitter, "interference": interference}},
+    }
+    if draw(st.booleans()):
+        data["orchestrator"] = {"enabled": True, "monitor_period_us": draw(st.sampled_from([1_000, 4_000])),
+                                "strategy": draw(st.sampled_from(["naive", "monte_carlo"])),
+                                "mc_samples": draw(st.integers(1, 20)), "fit_window": draw(st.integers(2, 64)),
+                                "thresholds": {"hard": draw(st.sampled_from([0.0, 0.05, 1.0]))}}
+    if draw(st.booleans()):
+        data["initial_plan"] = {t["id"]: draw(st.sampled_from(resources))["id"] for t in tasks}
+    fields = [("sim", "seed"), ("sim", "noise", "base_overhead_us"), ("resources", 0, "u_max"),
+              ("resources", 0, "policy"), ("tasks", 0, "id"), ("tasks", 0, "period_us"),
+              ("tasks", 0, "budget_us"), ("tasks", 0, "exec_model", "mu_us"),
+              ("tasks", 0, "exec_model", "sigma_us"), ("tasks", 0, "exec_model", "wcet_us"),
+              ("tasks", 0, "criticality"), ("sim", "noise", "latency_jitter"), ("initial_plan",),
+              ("sim", "duration_us"), ("orchestrator",)]
+    for path in draw(st.lists(st.sampled_from(fields), max_size=2)):
+        junk = _JUNK if path in {("sim", "duration_us"), ("orchestrator",)} else _JUNK + [_HUGE]
+        _set(list(path), draw(st.sampled_from(junk)))(data)
+    return data
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_scenarios())
+def test_every_parsed_scenario_simulates_and_every_rejected_one_exits_one(capsys, data):
+    try:
+        parse_scenario(data)
+        accepted = True
+    except ScenarioError:
+        accepted = False
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(["simulate", "--scenario", str(path), "--out", str(Path(tmp) / "run")], capsys)
+    if accepted:
+        assert code in (0, 1, 2)
+    else:
+        assert code == 1
+    if code == 1:
+        assert err.count("\n") == 1 and err.startswith("error: "), err

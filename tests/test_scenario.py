@@ -163,6 +163,15 @@ def test_negative_interference_rejected():
         parse_scenario(bad)
 
 
+def test_interference_rate_bounded_by_magnitude():
+    data = json.loads(json.dumps(BASE))
+    data["sim"]["noise"]["interference"] = {"rate_per_s": 4_000.0, "magnitude_us": 250}
+    assert parse_scenario(data).sim.noise.interference.rate_per_s == 4_000.0  # blocked all of the time
+    data["sim"]["noise"]["interference"]["rate_per_s"] = 4_000.5
+    with pytest.raises(ScenarioError, match=r"interference\.rate_per_s: expected at most 1e6 / magnitude_us"):
+        parse_scenario(data)
+
+
 def test_negative_seed_rejected():
     data = deep(BASE, sim={"duration_us": 1_000_000, "seed": -1})
     with pytest.raises(ScenarioError, match="sim.seed: expected non-negative integer, got -1"):

@@ -7,22 +7,23 @@ from hypothesis import given, settings, strategies as st
 
 from rtorch.model import ExecModel, MixtureMode, Policy, ResourceState, TaskSpec
 from rtorch.probability import NormalParams, joint_utilization, miss_probability
+from rtorch.scenario import load_scenario
 from rtorch.simulation import (
     Interference,
     NoiseModel,
     PlanUpdate,
     SimTrace,
+    demand_stream,
     read_runtimes_csv,
     run_sim,
-    runtime_sampler,
-    sample_runtime,
     write_runtimes_csv,
     write_trace_csv,
 )
 
 import numpy as np
 
-from oracles import read_runtimes_csv_reference, run_sim_reference, sample_runtime_reference
+from conftest import SCENARIO_DIR
+from oracles import demand_stream_reference, read_runtimes_csv_reference, run_sim_reference
 
 
 def fixed_task(tid, period_us, exec_us, budget_us=None, deadline_us=None):
@@ -294,19 +295,17 @@ def test_short_duration_rejected():
 
 
 def test_sample_runtime_respects_cutoffs():
-    rng = np.random.default_rng(0)
     model = ExecModel(mu_us=1_000, sigma_us=400, cutoff_lo_us=900, wcet_us=1_200)
-    draws = [sample_runtime(model, NoiseModel(), rng) for _ in range(2_000)]
+    draws = list(demand_stream(model, NoiseModel(), np.random.SeedSequence(0), 2_000))
     assert min(draws) == 900
     assert max(draws) == 1_200
     assert all(900 <= d <= 1_200 for d in draws)
 
 
 def test_sample_runtime_adds_overhead_after_clamping():
-    rng = np.random.default_rng(0)
     model = ExecModel(mu_us=1_000, sigma_us=0, cutoff_lo_us=1_000, wcet_us=1_000)
     noise = NoiseModel(base_overhead_us=80)
-    assert sample_runtime(model, noise, rng) == 1_080
+    assert list(demand_stream(model, noise, np.random.SeedSequence(0), 3)) == [1_080] * 3
 
 
 def test_runtimes_csv_roundtrip(tmp_path):
@@ -438,23 +437,75 @@ SAMPLER_CASES = [
     (ExecModel(mu_us=900, sigma_us=60, cutoff_lo_us=500, wcet_us=2_000,
                mixture=(MixtureMode(0.25, 250), MixtureMode(0.1, -300))),
      NoiseModel(base_overhead_us=80, latency_jitter=NormalParams(12.5, 7.25))),
+    # demands past float64's integers are clamped and summed as Python integers
+    (ExecModel(mu_us=2**60 + 1, sigma_us=3, cutoff_lo_us=2**60 - 1, wcet_us=2**60 + 3,
+               mixture=(MixtureMode(0.5, 0),)),
+     NoiseModel(base_overhead_us=1)),
+    (ExecModel(mu_us=1_000, sigma_us=50, cutoff_lo_us=900, wcet_us=1_100),
+     NoiseModel(base_overhead_us=7, latency_jitter=NormalParams(-1e300, 1e300))),
+    # every jitter draw is exactly 12.5, which rounds half to even
+    (ExecModel(mu_us=900, sigma_us=0, cutoff_lo_us=900, wcet_us=900),
+     NoiseModel(latency_jitter=NormalParams(12.5, 1e-300))),
 ]
 
 
 @pytest.mark.parametrize("model, noise", SAMPLER_CASES)
-def test_runtime_sampler_equals_reference_draw_for_draw(model, noise):
-    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-    sample = runtime_sampler(model, noise, rng)
-    assert [sample() for _ in range(3_000)] == [
-        sample_runtime_reference(model, noise, ref_rng) for _ in range(3_000)]
-    # same number of draws consumed, including a jitter whose sigma is zero
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert sample_runtime(model, noise, rng) == sample_runtime_reference(model, noise, ref_rng)
+def test_demand_stream_equals_scalar_oracle_draw_for_draw(model, noise):
+    oracle = demand_stream_reference(model, noise, np.random.SeedSequence(9))
+    assert list(demand_stream(model, noise, np.random.SeedSequence(9), 3_000)) == [
+        next(oracle) for _ in range(3_000)]
+
+
+@pytest.mark.parametrize("model, noise", SAMPLER_CASES)
+def test_demand_stream_is_the_same_for_any_block_split(model, noise):
+    def stream(block):
+        return list(demand_stream(model, noise, np.random.SeedSequence(4), 1_001, block=block))
+
+    whole = stream(1_001)
+    assert len(whole) == 1_001
+    for block in (1, 3, 7, 256, 1_000):
+        assert stream(block) == whole
+
+
+def test_adding_a_task_that_sorts_last_keeps_every_other_demand_sequence():
+    # common random numbers for the tipping point: alone on its own CPU with no
+    # interference, a task's measured runtimes are its demands
+    def demands(name):
+        scenario = load_scenario(SCENARIO_DIR / name)
+        resources = [ResourceState(id=f"cpu_{t.id}") for t in scenario.tasks]
+        trace = run_sim({t.id: f"cpu_{t.id}" for t in scenario.tasks}, scenario.tasks, resources,
+                        noise=scenario.sim.noise, duration_us=scenario.sim.duration_us, seed=scenario.sim.seed)
+        return trace.per_task_runtimes
+
+    nine, ten = demands("table1_9units.json"), demands("table1_10units.json")
+    assert sorted(ten) == sorted(nine) + ["unit_09"]
+    for tid in nine:
+        assert len(nine[tid]) == 600
+        assert nine[tid] == ten[tid], tid
+
+
+def test_interference_gaps_are_per_cpu():
+    # a CPU that sorts last takes its own gap stream: the others' traces do not move
+    tasks = [TaskSpec(id=tid, period_us=5_000, budget_us=2_000,
+                      exec_model=ExecModel(mu_us=1_500, sigma_us=200, cutoff_lo_us=1_000, wcet_us=2_000))
+             for tid in ("a", "b", "c")]
+    noise = NoiseModel(interference=Interference(rate_per_s=400.0, magnitude_us=300))
+    plan = {"a": "cpu0", "b": "cpu1", "c": "cpu1"}
+    two = run_sim(plan, tasks, [edf_cpu("cpu0"), edf_cpu("cpu1")], noise=noise, duration_us=500_000, seed=3)
+    three = run_sim(plan, tasks, [edf_cpu("cpu2"), edf_cpu("cpu0"), edf_cpu("cpu1")],
+                    noise=noise, duration_us=500_000, seed=3)
+    assert two.events == three.events
+    assert any(kind == "preempt" for _, kind, _, _ in two.events)  # interference did strike
+    # each CPU its own child: cpu0 and cpu1 see different gaps
+    alone = {rid: run_sim({t.id: rid for t in tasks[:1]}, tasks[:1], [edf_cpu("cpu0"), edf_cpu("cpu1")],
+                          noise=noise, duration_us=500_000, seed=3).events for rid in ("cpu0", "cpu1")}
+    assert [e[:3] for e in alone["cpu0"]] != [e[:3] for e in alone["cpu1"]]
 
 
 @pytest.mark.parametrize("loc, scale", [(0.0, 1.0), (56_250.0, 6_250.0), (12.5, 7.25), (25.0, 0.0), (-3.75, 1e-3)])
 def test_scaled_standard_normal_equals_numpy_normal(loc, scale):
-    # the identity runtime_sampler relies on: rng.normal(loc, scale) is loc + scale * z
+    # the identity the scalar oracle relies on: rng.normal(loc, scale) is loc + scale * z,
+    # which demand_stream computes for a block of z at once
     rng, ref_rng = np.random.default_rng(2024), np.random.default_rng(2024)
     draws = [loc + scale * rng.standard_normal() for _ in range(20_000)]
     assert draws == [ref_rng.normal(loc, scale) for _ in range(20_000)]
