@@ -133,8 +133,7 @@ _DEMAND_BLOCK = 256  # demands per NumPy call; the values do not depend on it
 _EXACT = 2**52  # below this, integer-valued float64 sums are exact
 
 
-def demand_stream(model: ExecModel, noise: NoiseModel, seed: np.random.SeedSequence, releases: int,
-                  block: int = _DEMAND_BLOCK) -> Iterator[int]:
+def demand_stream(model: ExecModel, noise: NoiseModel, seed: np.random.SeedSequence, releases: int) -> Iterator[int]:
     """Yield the demands of a task's first ``releases`` jobs, drawn from ``seed`` alone.
 
     A demand is the mixture-normal runtime rounded half to even and clamped
@@ -144,7 +143,7 @@ def demand_stream(model: ExecModel, noise: NoiseModel, seed: np.random.SeedSeque
     (if sigma is positive), then the jitter's (if its sigma is positive), as
     ``mu + sigma * z``; a mixture picks each job's mode with one uniform from
     that PCG64 jumped ahead (``PCG64.jumped``).  NumPy draws the same numbers
-    however a sequence is split, so ``block`` does not change the demands.
+    however a sequence is split, so ``_DEMAND_BLOCK`` does not change the demands.
     """
     bits = np.random.PCG64(seed)
     normal = np.random.Generator(bits).standard_normal
@@ -160,7 +159,7 @@ def demand_stream(model: ExecModel, noise: NoiseModel, seed: np.random.SeedSeque
     exact = max(abs(lo), abs(hi)) + offset < _EXACT
     jitter = 0.0
     while releases > 0:
-        n = min(releases, block)
+        n = min(releases, _DEMAND_BLOCK)
         releases -= n
         z = normal(n * width).reshape(n, width)
         draw = means[np.searchsorted(bounds, uniform(n), side="right")] if uniform else np.full(n, means[-1])

@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 import unicodedata
 from pathlib import Path
@@ -168,6 +169,13 @@ def test_interference_rate_bounded_by_magnitude():
     data["sim"]["noise"]["interference"] = {"rate_per_s": 4_000.0, "magnitude_us": 250}
     assert parse_scenario(data).sim.noise.interference.rate_per_s == 4_000.0  # blocked all of the time
     data["sim"]["noise"]["interference"]["rate_per_s"] = 4_000.5
+    with pytest.raises(ScenarioError, match=r"interference\.rate_per_s: expected at most 1e6 / magnitude_us"):
+        parse_scenario(data)
+    # the bound caps the blocked fraction, not the event count: one event per
+    # microsecond at magnitude 1 is accepted
+    data["sim"]["noise"]["interference"] = {"rate_per_s": 1e6, "magnitude_us": 1}
+    assert parse_scenario(data).sim.noise.interference.rate_per_s == 1e6
+    data["sim"]["noise"]["interference"]["rate_per_s"] = math.nextafter(1e6, math.inf)
     with pytest.raises(ScenarioError, match=r"interference\.rate_per_s: expected at most 1e6 / magnitude_us"):
         parse_scenario(data)
 

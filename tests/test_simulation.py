@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rtorch import simulation
 from rtorch.model import ExecModel, MixtureMode, Policy, ResourceState, TaskSpec
 from rtorch.probability import NormalParams, joint_utilization, miss_probability
 from rtorch.scenario import load_scenario
@@ -457,9 +458,10 @@ def test_demand_stream_equals_scalar_oracle_draw_for_draw(model, noise):
 
 
 @pytest.mark.parametrize("model, noise", SAMPLER_CASES)
-def test_demand_stream_is_the_same_for_any_block_split(model, noise):
+def test_demand_stream_is_the_same_for_any_block_split(model, noise, monkeypatch):
     def stream(block):
-        return list(demand_stream(model, noise, np.random.SeedSequence(4), 1_001, block=block))
+        monkeypatch.setattr(simulation, "_DEMAND_BLOCK", block)
+        return list(demand_stream(model, noise, np.random.SeedSequence(4), 1_001))
 
     whole = stream(1_001)
     assert len(whole) == 1_001
