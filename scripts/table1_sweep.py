@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from rtorch.orchestration import build_plan
 from rtorch.reporting import build_report, render_table
 from rtorch.scenario import load_scenario
 from rtorch.simulation import run_sim
@@ -21,11 +20,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 def sweep_row(path: Path, duration_us: int | None, seed: int | None) -> str:
     scenario = load_scenario(path)
-    tasks = {t.id: t for t in scenario.tasks}
-    resources = {r.id: r for r in scenario.resources}
-    plan = build_plan(scenario.initial_plan or {}, tasks, resources)
     trace = run_sim(
-        plan,
+        scenario.initial_plan or {},
         scenario.tasks,
         scenario.resources,
         noise=scenario.sim.noise,

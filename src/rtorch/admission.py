@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .model import Policy, ResourceState, TaskSpec
+from .model import Policy, ResourceState, TaskSpec, utilization
 from .probability import NormalParams, joint_utilization, miss_probability
 
 
@@ -73,7 +73,7 @@ class GroupLoad:
 
     def reserved(self) -> float:
         """Sum of reserved budgets over periods."""
-        return math.fsum(t.budget_us / t.period_us for t in self.tasks)
+        return math.fsum(utilization(t) for t in self.tasks)
 
     def miss_prob(self) -> float:
         """P(group utilization > u_max); 0 for no tasks."""

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .admission import admit
-from .model import Criticality
+from .model import Criticality, utilization
 from .orchestration import (
     InfeasibleError,
     OrchestratorHook,
@@ -112,12 +112,9 @@ def cmd_simulate(args) -> int:
     if scenario.orchestrator.enabled and not args.no_orchestrator and len(scenario.resources) > 1:
         hook = OrchestratorHook(scenario.tasks, scenario.resources, scenario.orchestrator, base_seed=seed)
 
-    tasks = {t.id: t for t in scenario.tasks}
-    resources = {r.id: r for r in scenario.resources}
-    plan = build_plan(assignments, tasks, resources)
     try:
         trace = run_sim(
-            plan, scenario.tasks, scenario.resources,
+            assignments, scenario.tasks, scenario.resources,
             noise=scenario.sim.noise, duration_us=duration, seed=seed, hook=hook,
         )
         report = build_report(trace, bin_width_us=args.bin_width_us)
@@ -212,7 +209,7 @@ def cmd_plan(args) -> int:
             for res in scenario.resources
         ):
             stuck.append(task.id)
-    total_util = math.fsum(t.budget_us / t.period_us for t in scenario.tasks)
+    total_util = math.fsum(utilization(t) for t in scenario.tasks)
     capacity = math.fsum(r.u_max for r in scenario.resources)
     if stuck or total_util > capacity:
         for tid in stuck:

@@ -1,14 +1,17 @@
 """Domain types: periodic tasks, CPU resources and allocation plans.
 
-All durations are integer microseconds.  Construction never raises on
-semantic violations; ``validate_task`` reports them as data so callers
+All durations are integer microseconds.  ``from_dict`` is strict about JSON
+types: each field goes through one reader below, which raises ValueError
+naming the field path.  Semantic violations (a budget above the deadline, say)
+never raise on construction; ``validate_task`` reports them as data so callers
 (scenario loading, tests) decide how to react.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 
 class Criticality(Enum):
@@ -41,8 +44,9 @@ class MixtureMode:
         return {"weight": self.weight, "offset_us": self.offset_us}
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MixtureMode":
-        return cls(weight=float(data["weight"]), offset_us=int(data["offset_us"]))
+    def from_dict(cls, data: Any, where: str = "mixture") -> "MixtureMode":
+        data = read_object(data, where)
+        return cls(weight=read_number(data, "weight", where), offset_us=read_int(data, "offset_us", where))
 
 
 @dataclass(frozen=True)
@@ -71,13 +75,15 @@ class ExecModel:
         return out
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExecModel":
+    def from_dict(cls, data: Any, where: str = "exec_model") -> "ExecModel":
+        data = read_object(data, where)
         return cls(
-            mu_us=int(data["mu_us"]),
-            sigma_us=int(data["sigma_us"]),
-            cutoff_lo_us=int(data["cutoff_lo_us"]),
-            wcet_us=int(data["wcet_us"]),
-            mixture=tuple(MixtureMode.from_dict(m) for m in data.get("mixture", ())),
+            mu_us=read_int(data, "mu_us", where),
+            sigma_us=read_int(data, "sigma_us", where),
+            cutoff_lo_us=read_int(data, "cutoff_lo_us", where),
+            wcet_us=read_int(data, "wcet_us", where),
+            mixture=tuple(MixtureMode.from_dict(m, f"{where}.mixture[{j}]")
+                          for j, m in enumerate(read_array(data, "mixture", where, ()))),
         )
 
 
@@ -110,15 +116,15 @@ class TaskSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TaskSpec":
-        deadline = data.get("deadline_us")
+    def from_dict(cls, data: Any, where: str = "task") -> "TaskSpec":
+        data = read_object(data, where)
         return cls(
-            id=str(data["id"]),
-            period_us=int(data["period_us"]),
-            budget_us=int(data["budget_us"]),
-            exec_model=ExecModel.from_dict(data["exec_model"]),
-            criticality=Criticality(data.get("criticality", "hard")),
-            deadline_us=None if deadline is None else int(deadline),
+            id=read_id(data, where),
+            period_us=read_int(data, "period_us", where),
+            budget_us=read_int(data, "budget_us", where),
+            exec_model=ExecModel.from_dict(read_field(data, "exec_model", where), f"{where}.exec_model"),
+            criticality=read_enum(Criticality, data, "criticality", where, "hard"),
+            deadline_us=None if data.get("deadline_us") is None else read_int(data, "deadline_us", where),
         )
 
 
@@ -140,12 +146,13 @@ class ResourceState:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ResourceState":
+    def from_dict(cls, data: Any, where: str = "resource") -> "ResourceState":
+        data = read_object(data, where)
         return cls(
-            id=str(data["id"]),
-            policy=Policy(data.get("policy", "EDF")),
-            u_max=float(data.get("u_max", 1.0)),
-            criticality=Criticality(data.get("criticality", "hard")),
+            id=read_id(data, where),
+            policy=read_enum(Policy, data, "policy", where, "EDF"),
+            u_max=read_number(data, "u_max", where, 1.0, lambda u: 0.0 < u <= 1.0, "number in (0, 1]"),
+            criticality=read_enum(Criticality, data, "criticality", where, "hard"),
         )
 
 
@@ -208,3 +215,83 @@ def validate_task(task: TaskSpec) -> list[str]:
     elif sum(mode.weight for mode in m.mixture) > 1.0:
         v.append("exec_model mixture weights must sum to <= 1")
     return v
+
+
+# Strict JSON field readers: one per JSON type.  Each raises
+# ValueError("<path>: expected <what>, got <value!r>"); ``where`` is the path of
+# ``data``, and a field's own path is built only when it is rejected.
+_REQUIRED = object()
+_INT_KINDS = {None: "integer", 0: "non-negative integer", 1: "positive integer"}
+
+
+def _bad(where: str, key: str, what: str, value: Any) -> ValueError:
+    return ValueError(f"{f'{where}.{key}' if where else key}: expected {what}, got {value!r}")
+
+
+def read_field(data: Mapping[str, Any], key: str, where: str, default: Any = _REQUIRED) -> Any:
+    value = data.get(key, default)
+    if value is _REQUIRED:
+        raise ValueError(f"{where or 'top level'}: missing required field '{key}'")
+    return value
+
+
+def read_object(value: Any, where: str) -> dict[str, Any]:
+    if type(value) is not dict:  # exact type: the Mapping ABC check is slow
+        raise ValueError(f"{where}: expected a JSON object, got {value!r}")
+    return value
+
+
+def read_int(data: Mapping[str, Any], key: str, where: str, default: Any = _REQUIRED,
+             low: int | None = None) -> int:
+    """An integer of at least ``low``; a float, which ``int()`` would truncate, or a bool is rejected."""
+    value = read_field(data, key, where, default)
+    if type(value) is int and (low is None or value >= low):
+        return value
+    raise _bad(where, key, _INT_KINDS.get(low, f"integer >= {low}"), value)
+
+
+def read_number(data: Mapping[str, Any], key: str, where: str, default: Any = _REQUIRED,
+                ok: Callable[[float], bool] = math.isfinite, what: str = "finite number") -> float:
+    """An integer or float, as a float, for which ``ok`` holds; ``ok`` must reject nan and infinities."""
+    value = read_field(data, key, where, default)
+    if type(value) is float or type(value) is int:
+        try:
+            if ok(float(value)):
+                return float(value)
+        except OverflowError:  # an integer past the float range
+            pass
+    raise _bad(where, key, what, value)
+
+
+def read_bool(data: Mapping[str, Any], key: str, where: str, default: Any = _REQUIRED) -> bool:
+    value = read_field(data, key, where, default)
+    if type(value) is bool:
+        return value
+    raise _bad(where, key, "boolean", value)
+
+
+def read_array(data: Mapping[str, Any], key: str, where: str, default: Any = _REQUIRED,
+               nonempty: bool = False) -> list[Any]:
+    value = read_field(data, key, where, default)
+    if value is default or (type(value) is list and (value or not nonempty)):
+        return value
+    raise _bad(where, key, "a non-empty array" if nonempty else "an array", value)
+
+
+def read_id(data: Mapping[str, Any], where: str) -> str:
+    """An id goes unquoted into CSV rows, so it must be one non-empty string field."""
+    value = read_field(data, "id", where)
+    # control characters are Unicode category Cc: U+0000-U+001F and U+007F-U+009F
+    if type(value) is str and value and not any(
+            c == "," or c.isspace() or c < " " or "\x7f" <= c <= "\x9f" for c in value):
+        return value
+    raise _bad(where, "id", "a non-empty id without commas, whitespace or control characters", value)
+
+
+def read_enum(enum: type[Enum], data: Mapping[str, Any], key: str, where: str, default: Any = _REQUIRED) -> Any:
+    """A string naming one of ``enum``'s values, as that member."""
+    value = read_field(data, key, where, default)
+    try:
+        return enum(value)
+    except ValueError:
+        raise _bad(where, key, "|".join(m.value for m in enum), value) from None

@@ -27,11 +27,13 @@ from .model import (
     ResourceLoad,
     ResourceState,
     TaskSpec,
+    utilization,
 )
 from .probability import (
     ULP,
     NormalParams,
     breach_cutoffs,
+    buffer,
     fit_normal,
     tail_bounds,
     tail_z_bounds,
@@ -328,7 +330,7 @@ def build_plan(
 ) -> AllocationPlan:
     """Assemble an AllocationPlan, computing fresh per-resource load summaries."""
     per_resource = {
-        rid: ResourceLoad(buffer=1.0 - load.reserved(), miss_prob=load.miss_prob())
+        rid: ResourceLoad(buffer=buffer(load.tasks), miss_prob=load.miss_prob())
         for rid, load in group_loads(resources, tasks, assignments, fits, evicted).items()
     }
     return AllocationPlan(assignments=dict(assignments), per_resource=per_resource)
@@ -446,7 +448,7 @@ def first_fit_plan(
     """First-fit by declining utilization; raises InfeasibleError when a task fits nowhere."""
     loads = [GroupLoad(res, fits) for res in resources]
     assignments: dict[str, str] = {}
-    order = sorted(tasks, key=lambda t: (-(t.budget_us / t.period_us), t.id))
+    order = sorted(tasks, key=lambda t: (-utilization(t), t.id))
     for task in order:
         for load in loads:
             if load.try_add(task, group_threshold(load.tasks + [task], thresholds)):

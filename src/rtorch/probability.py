@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import TaskSpec
+from .model import TaskSpec, utilization
 
 _SQRT2 = math.sqrt(2.0)
 # float64 machine epsilon, twice the unit roundoff
@@ -158,7 +158,7 @@ def _last_true(pred) -> tuple[float, float]:
 
 def buffer(tasks: Iterable[TaskSpec]) -> float:
     """Unreserved CPU fraction: 1 - sum(budget/period).  Negative when oversubscribed."""
-    return 1.0 - math.fsum(t.budget_us / t.period_us for t in tasks)
+    return 1.0 - math.fsum(utilization(t) for t in tasks)
 
 
 def ks_statistic(samples: Sequence[float], params: NormalParams) -> float:

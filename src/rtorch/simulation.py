@@ -32,7 +32,7 @@ from typing import Iterator, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .model import AllocationPlan, ExecModel, Policy, ResourceState, TaskSpec
+from .model import ExecModel, Policy, ResourceState, TaskSpec
 from .probability import NormalParams
 
 _R_RELEASE = 0
@@ -191,7 +191,7 @@ class _Cpu:
 
 
 def run_sim(
-    plan: AllocationPlan | Mapping[str, str],
+    plan: Mapping[str, str],
     tasks: Sequence[TaskSpec],
     resources: Sequence[ResourceState],
     noise: NoiseModel = ZERO_NOISE,
@@ -201,13 +201,14 @@ def run_sim(
 ) -> SimTrace:
     """Simulate ``duration_us`` of scheduling and return the trace.
 
-    ``plan`` must assign every task to a known resource; unknown ids fail
-    before the clock starts.  ``duration_us`` must cover at least one period
-    of every task.  With a ``hook``, monitoring epochs fire every
-    ``hook.period_us`` and any returned PlanUpdate takes effect at each moved
-    task's next release (in-flight jobs finish where they started).
+    ``plan`` maps task id to resource id and must assign every task to a
+    known resource; unknown ids fail before the clock starts.  ``duration_us``
+    must cover at least one period of every task.  With a ``hook``,
+    monitoring epochs fire every ``hook.period_us`` and any returned
+    PlanUpdate takes effect at each moved task's next release (in-flight jobs
+    finish where they started).
     """
-    assignments = dict(plan.assignments) if isinstance(plan, AllocationPlan) else dict(plan)
+    assignments = dict(plan)
     task_map = {t.id: t for t in tasks}
     cpu_rank = {rid: i for i, rid in enumerate(sorted({r.id for r in resources}))}
     cpu_map = {r.id: _Cpu(cpu_rank[r.id], r) for r in resources}

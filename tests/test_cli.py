@@ -251,6 +251,47 @@ def test_plan_unplaceable_task_exits_three(tmp_path, capsys):
     assert "admits on no resource" in err
 
 
+def _three_sixty_percent_tasks(tmp_path):
+    """Three constant 0.6-utilization tasks on two EDF CPUs: each admits alone and the
+    total fits the capacity, but first fit cannot place the third."""
+    model = {"mu_us": 60_000, "sigma_us": 0, "cutoff_lo_us": 60_000, "wcet_us": 60_000}
+    scenario = {
+        "tasks": [{"id": f"t{i}", "period_us": 100_000, "budget_us": 60_000, "exec_model": model}
+                  for i in range(3)],
+        "resources": [{"id": "cpu0", "policy": "EDF"}, {"id": "cpu1", "policy": "EDF"}],
+    }
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(scenario))
+    return path
+
+
+def test_plan_naive_exits_three_when_first_fit_gets_stuck(tmp_path, capsys):
+    code, out, err = run_cli(["plan", "--scenario", str(_three_sixty_percent_tasks(tmp_path)),
+                              "--strategy", "naive"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "infeasible: task 't2' admits on no resource\n"
+
+
+def test_plan_monte_carlo_starts_from_all_on_first_cpu_when_first_fit_gets_stuck(tmp_path, capsys):
+    code, out, _ = run_cli(["plan", "--scenario", str(_three_sixty_percent_tasks(tmp_path)),
+                            "--strategy", "monte_carlo", "--mc-samples", "50", "--seed", "1"], capsys)
+    assert code == 0
+    plan = json.loads(out)
+    # every split still breaches one CPU and occupies more, so no sample beats the fallback
+    assert plan["assignments"] == {"t0": "cpu0", "t1": "cpu0", "t2": "cpu0"}
+    assert plan["per_resource"]["cpu1"] == {"buffer": 1.0, "miss_prob": 0.0}
+
+
+def test_analyze_rejects_a_header_only_csv(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("task,runtime_us\n")
+    code, out, err = run_cli(["analyze", str(path), "--period-us", "125000"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: no samples\n"
+
+
 def test_usage_errors_exit_one_not_two(capsys):
     assert cli.main([]) == 1
     capsys.readouterr()
@@ -372,6 +413,38 @@ def _set(path, value):
     pytest.param(_set(["tasks", 0, "id"], "cam\x07"), "tasks[0].id", id="task-id-control"),
     pytest.param(_set(["resources", 1, "id"], "cpu\t1"), "resources[1].id", id="resource-id-tab"),
     pytest.param(_set(["resources", 0, "id"], "cpu,0"), "resources[0].id", id="resource-id-comma"),
+    # values of a JSON type the field does not take, none of them converted
+    pytest.param(_set(["resources", 0, "u_max"], True), "resources[0].u_max", id="u-max-bool"),
+    pytest.param(_set(["resources", 0, "u_max"], "0.5"), "resources[0].u_max", id="u-max-string"),
+    pytest.param(_set(["resources", 0, "u_max"], 10**400), "resources[0].u_max", id="u-max-past-float"),
+    pytest.param(_set(["orchestrator", "enabled"], "false"), "orchestrator.enabled", id="enabled-string"),
+    pytest.param(_set(["orchestrator", "thresholds", "hard"], True), "orchestrator.thresholds.hard",
+                 id="threshold-bool"),
+    pytest.param(_set(["tasks", 2, "exec_model", "mixture", 0, "weight"], "0.2"),
+                 "tasks[2].exec_model.mixture[0].weight", id="mixture-weight-string"),
+    pytest.param(_set(["sim", "noise", "latency_jitter", "mu_us"], "5"), "sim.noise.latency_jitter.mu_us",
+                 id="jitter-mu-string"),
+    pytest.param(_set(["sim", "noise", "interference", "rate_per_s"], True),
+                 "sim.noise.interference.rate_per_s", id="interference-rate-bool"),
+    pytest.param(_set(["tasks", 2, "exec_model", "mixture"], {}), "tasks[2].exec_model.mixture",
+                 id="mixture-object"),
+    pytest.param(_set(["tasks", 0, "id"], []), "tasks[0].id", id="task-id-list"),
+    pytest.param(_set(["tasks", 0, "id"], None), "tasks[0].id", id="task-id-null"),
+    pytest.param(_set(["tasks", 0, "id"], 7), "tasks[0].id", id="task-id-number"),
+    pytest.param(_set(["initial_plan", "cam_a"], ["cpu0"]), "initial_plan.cam_a", id="plan-resource-list"),
+    # the remaining shape and range rules
+    pytest.param(_set(["tasks"], {}), "tasks", id="tasks-object"),
+    pytest.param(_set(["resources"], []), "resources", id="resources-empty"),
+    pytest.param(_set(["initial_plan"], ["cpu0"]), "initial_plan", id="plan-list"),
+    pytest.param(_set(["initial_plan", "ghost"], "cpu0"), "initial_plan", id="plan-unknown-task"),
+    pytest.param(_set(["orchestrator", "monitor_period_us"], 0), "orchestrator.monitor_period_us",
+                 id="monitor-period-0"),
+    pytest.param(_set(["orchestrator", "fit_window"], 1), "orchestrator.fit_window", id="fit-window-1"),
+    pytest.param(_set(["orchestrator", "mc_samples"], 0), "orchestrator.mc_samples", id="mc-samples-0"),
+    pytest.param(_set(["sim", "noise", "latency_jitter", "sigma_us"], -1), "sim.noise.latency_jitter.sigma_us",
+                 id="jitter-sigma-neg"),
+    pytest.param(_set(["sim", "noise", "interference"], {"rate_per_s": 40.0}), "sim.noise.interference",
+                 id="interference-no-magnitude"),
 ])
 def test_malformed_scenario_exits_one_with_one_line(mutate, field, tmp_path, capsys):
     data = _noisy_conveyor()
@@ -386,6 +459,16 @@ def test_malformed_scenario_exits_one_with_one_line(mutate, field, tmp_path, cap
         assert err.count("\n") == 1
         assert f"error: {field}" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("document", [[], "scenario", None], ids=["array", "string", "null"])
+def test_non_object_top_level_exits_one_with_one_line(document, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(document))
+    for argv in (["simulate", "--scenario", str(path), "--out", str(tmp_path / "run")],
+                 ["plan", "--scenario", str(path)]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (1, "", "error: top level: expected a JSON object\n")
 
 
 def test_noisy_conveyor_base_is_accepted(tmp_path, capsys):
@@ -488,3 +571,46 @@ def test_every_parsed_scenario_simulates_and_every_rejected_one_exits_one(capsys
         assert code == 1
     if code == 1:
         assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
+# The JSON types each field takes; ``None`` only where null means an absent section.
+_NUMBER = (int, float)
+_FIELD_TYPES = {
+    ("sim", "seed"): (int,), ("sim", "duration_us"): (int,), ("sim", "noise", "base_overhead_us"): (int,),
+    ("sim", "noise", "latency_jitter"): (dict, type(None)),
+    ("sim", "noise", "latency_jitter", "mu_us"): _NUMBER,
+    ("sim", "noise", "latency_jitter", "sigma_us"): _NUMBER,
+    ("sim", "noise", "interference", "rate_per_s"): _NUMBER,
+    ("sim", "noise", "interference", "magnitude_us"): (int,),
+    ("resources", 0, "id"): (str,), ("resources", 0, "u_max"): _NUMBER, ("resources", 0, "policy"): (str,),
+    ("tasks", 0, "id"): (str,), ("tasks", 0, "period_us"): (int,), ("tasks", 0, "budget_us"): (int,),
+    ("tasks", 0, "criticality"): (str,), ("tasks", 0, "exec_model"): (dict,),
+    ("tasks", 0, "exec_model", "mu_us"): (int,), ("tasks", 0, "exec_model", "sigma_us"): (int,),
+    ("tasks", 0, "exec_model", "wcet_us"): (int,), ("tasks", 0, "exec_model", "mixture"): (list,),
+    ("tasks", 0, "exec_model", "mixture", 0, "weight"): _NUMBER,
+    ("tasks", 0, "exec_model", "mixture", 0, "offset_us"): (int,),
+    ("orchestrator",): (dict, type(None)), ("orchestrator", "enabled"): (bool,),
+    ("orchestrator", "strategy"): (str,), ("orchestrator", "thresholds"): (dict,),
+    ("orchestrator", "thresholds", "hard"): _NUMBER, ("orchestrator", "mc_samples"): (int,),
+    ("initial_plan",): (dict, type(None)),
+}
+
+
+def _holds(data, path):
+    """Whether the parent of ``path`` is in ``data``, so that setting ``path`` replaces a field."""
+    for key in path[:-1]:
+        try:
+            data = data[key]
+        except (KeyError, IndexError, TypeError):
+            return False
+    return isinstance(data, dict)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scenarios(), st.data())
+def test_a_value_of_a_json_type_the_field_does_not_take_is_rejected(data, draws):
+    path = draws.draw(st.sampled_from([p for p in _FIELD_TYPES if _holds(data, p)]))
+    junk = draws.draw(st.sampled_from([j for j in _JUNK + [_HUGE] if type(j) not in _FIELD_TYPES[path]]))
+    _set(list(path), junk)(data)
+    with pytest.raises(ScenarioError):
+        parse_scenario(data)

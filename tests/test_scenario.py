@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 import unicodedata
 from pathlib import Path
@@ -203,6 +204,18 @@ def test_malformed_json_reports_position(tmp_path):
 def test_missing_file_reported(tmp_path):
     with pytest.raises(ScenarioError, match="not found"):
         load_scenario(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}", b'{"sim": {"seed": ' + b"9" * 5000 + b"}}"],
+                         ids=["directory", "not-utf8", "integer-past-digit-limit"])
+def test_unreadable_file_is_a_scenario_error(content, tmp_path):
+    path = tmp_path / "scenario.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    with pytest.raises(ScenarioError, match="^" + re.escape(f"{path}: ")):
+        load_scenario(path)
 
 
 def test_load_matches_parse(tmp_path):
