@@ -28,6 +28,7 @@ from .orchestration import (
 )
 from .probability import (
     GOODNESS_POOR,
+    MIN_FIT_SAMPLES,
     fit_normal,
     joint_utilization,
     ks_statistic,
@@ -168,8 +169,9 @@ def cmd_analyze(args) -> int:
 
     models = []
     for tid, values in samples.items():
-        if len(values) < 30:
-            print(f"error: task '{tid}' has {len(values)} samples; need at least 30", file=sys.stderr)
+        if len(values) < MIN_FIT_SAMPLES:
+            print(f"error: task '{tid}' has {len(values)} samples; need at least {MIN_FIT_SAMPLES}",
+                  file=sys.stderr)
             return EXIT_INPUT
         params = fit_normal(values)
         goodness = ks_statistic(values, params)

@@ -283,9 +283,10 @@ def read_id(data: Mapping[str, Any], where: str) -> str:
     value = read_field(data, "id", where)
     # control characters are Unicode category Cc: U+0000-U+001F and U+007F-U+009F
     if type(value) is str and value and not any(
-            c == "," or c.isspace() or c < " " or "\x7f" <= c <= "\x9f" for c in value):
+            c in ',"' or c.isspace() or c < " " or "\x7f" <= c <= "\x9f" for c in value):
         return value
-    raise _bad(where, "id", "a non-empty id without commas, whitespace or control characters", value)
+    raise _bad(where, "id", "a non-empty id without commas, double quotes, whitespace or control characters",
+               value)
 
 
 def read_enum(enum: type[Enum], data: Mapping[str, Any], key: str, where: str, default: Any = _REQUIRED) -> Any:

@@ -30,6 +30,7 @@ from .model import (
     utilization,
 )
 from .probability import (
+    MIN_FIT_SAMPLES,
     ULP,
     NormalParams,
     breach_cutoffs,
@@ -46,7 +47,6 @@ DEFAULT_THRESHOLDS: Mapping[Criticality, float] = {
     Criticality.BEST_EFFORT: 1.0,
 }
 
-MIN_FIT_SAMPLES = 30
 COOLDOWN_EPOCHS = 2
 # Monte Carlo samples drawn and screened at once; bounds the search's memory to O(block x tasks)
 _MC_BLOCK = 256
@@ -366,17 +366,17 @@ def orchestrate_step(
 
 
 def window_fits(
-    runtimes: Mapping[str, Sequence[int]], fit_window: int, min_count: int = MIN_FIT_SAMPLES
+    runtimes: Mapping[str, Sequence[int]], fit_window: int
 ) -> dict[str, NormalParams]:
     """Normal fit over each task's most recent ``fit_window`` samples.
 
-    Tasks with fewer than ``min_count`` samples get no entry, so consumers
+    Tasks with fewer than ``MIN_FIT_SAMPLES`` samples get no entry, so consumers
     fall back to the declared execution model.
     """
     fits: dict[str, NormalParams] = {}
     for tid, samples in runtimes.items():
         window = samples[-fit_window:]
-        if len(window) < min_count:
+        if len(window) < MIN_FIT_SAMPLES:
             continue
         fits[tid] = fit_normal(window)
     return fits

@@ -32,6 +32,8 @@ _TAIL_ABS = 1e-300
 # math.erfc(z / sqrt 2) is exactly 2 below -_Z_SPAN and exactly 0 above it
 _Z_SPAN = 40.0
 
+# fewest runtime samples a normal is fitted to, at runtime and by analyze
+MIN_FIT_SAMPLES = 30
 # KS distance above which a single normal does not describe a sample stream (e.g. bimodal data)
 GOODNESS_POOR = 0.1
 
@@ -219,9 +221,9 @@ class StreamingFit:
     def stddev(self) -> float:
         return fit_normal(self._samples).sigma
 
-    def to_normal(self, min_count: int = 30) -> tuple[NormalParams, float]:
+    def to_normal(self) -> tuple[NormalParams, float]:
         """Fitted NormalParams plus KS goodness-of-fit (smaller is better)."""
-        if self.count < min_count:
+        if self.count < MIN_FIT_SAMPLES:
             raise ValueError("insufficient samples")
         params = fit_normal(self._samples)
         return params, ks_statistic(self._samples, params)

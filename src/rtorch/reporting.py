@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -168,6 +169,38 @@ def render_table(report: RunReport) -> str:
     return f"{avg} & {lo}/{hi} & {report.sd_mx_us:.2f}"
 
 
+def _peaks(padded: np.ndarray, min_prominence: float) -> list[int]:
+    """Indices of the peaks of ``padded`` with topographic prominence >= ``min_prominence``.
+
+    The same list as SciPy's ``find_peaks(padded, prominence=min_prominence)``
+    gives: a peak is a sample higher than both neighbours, or the middle sample
+    of such a flat run; each side is walked to a strictly higher sample or the
+    edge, and the prominence is the peak's height above the higher of the two
+    lowest points passed.
+    """
+    x = padded.tolist()
+    last = len(x) - 1
+    peaks = []
+    i = 1
+    while i < last:
+        if x[i - 1] < x[i]:
+            ahead = i + 1
+            while ahead < last and x[ahead] == x[i]:
+                ahead += 1
+            if x[ahead] < x[i]:
+                peaks.append((i + ahead - 1) // 2)
+                i = ahead
+        i += 1
+    kept = []
+    for p in peaks:
+        top = x[p]
+        left = min(takewhile(lambda v: v <= top, x[p::-1]))
+        right = min(takewhile(lambda v: v <= top, x[p:]))
+        if top - max(left, right) >= min_prominence:
+            kept.append(p)
+    return kept
+
+
 def histogram_modes(
     bins: Sequence[tuple[int, int, int]],
     min_prominence: float = 0.02,
@@ -176,8 +209,8 @@ def histogram_modes(
     """Indices of local maxima in a task histogram, by relative prominence.
 
     Counts are normalized, lightly smoothed (moving average of ``smooth``
-    bins) and zero-padded so edge bins can peak; ``min_prominence`` is a
-    fraction of total mass.
+    bins, centred, one output per bin) and zero-padded so edge bins can peak;
+    ``min_prominence`` is a fraction of total mass.
     """
     counts = np.array([c for _, _, c in bins], dtype=float)
     total = counts.sum()
@@ -185,11 +218,7 @@ def histogram_modes(
         return []
     rel = counts / total
     if smooth > 1:
-        kernel = np.ones(smooth) / smooth
-        rel = np.convolve(rel, kernel, mode="same")
+        start = (smooth - 1) // 2
+        rel = np.convolve(rel, np.ones(smooth) / smooth)[start:start + len(rel)]
     padded = np.concatenate([[0.0], rel, [0.0]])
-    # imported here: scipy.signal takes about a second to load and no command needs it
-    from scipy.signal import find_peaks
-
-    peaks, _ = find_peaks(padded, prominence=min_prominence)
-    return [int(p - 1) for p in peaks]
+    return [p - 1 for p in _peaks(padded, min_prominence)]

@@ -34,10 +34,10 @@ position).  One rule per JSON type; no value is converted to another type:
 - boolean: ``enabled``.  string: ids, ``policy``, ``criticality``, ``strategy``.
 - array: ``tasks`` and ``resources`` (both non-empty), ``mixture``.
 
-Ids must be non-empty and hold no comma, whitespace or control character, so
-they survive a CSV row.  Ranges: ``u_max`` in (0, 1], thresholds in [0, 1],
-jitter ``sigma_us`` >= 0, interference rate and magnitude positive with
-``rate_per_s * magnitude_us`` at most 1e6, and ``model.validate_task``.
+Ids must be non-empty and hold no comma, double quote, whitespace or control
+character, so they survive a CSV row.  Ranges: ``u_max`` in (0, 1], thresholds
+in [0, 1], jitter ``sigma_us`` >= 0, interference rate and magnitude positive
+with ``rate_per_s * magnitude_us`` at most 1e6, and ``model.validate_task``.
 """
 from __future__ import annotations
 

@@ -446,3 +446,31 @@ def run_sim_reference(
 
     return SimTrace(events=events, per_task_runtimes=runtimes)
 
+
+# histogram_modes on scipy.signal.find_peaks; the library's must agree with it on
+# every histogram with at least ``smooth`` bins
+def histogram_modes_reference(
+    bins: Sequence[tuple[int, int, int]],
+    min_prominence: float = 0.02,
+    smooth: int = 3,
+) -> list[int]:
+    """Indices of local maxima in a task histogram, by relative prominence.
+
+    Counts are normalized, lightly smoothed (moving average of ``smooth``
+    bins) and zero-padded so edge bins can peak; ``min_prominence`` is a
+    fraction of total mass.
+    """
+    counts = np.array([c for _, _, c in bins], dtype=float)
+    total = counts.sum()
+    if total == 0:
+        return []
+    rel = counts / total
+    if smooth > 1:
+        kernel = np.ones(smooth) / smooth
+        rel = np.convolve(rel, kernel, mode="same")
+    padded = np.concatenate([[0.0], rel, [0.0]])
+    # imported here: scipy.signal takes about a second to load and no command needs it
+    from scipy.signal import find_peaks
+
+    peaks, _ = find_peaks(padded, prominence=min_prominence)
+    return [int(p - 1) for p in peaks]

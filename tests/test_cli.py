@@ -413,6 +413,8 @@ def _set(path, value):
     pytest.param(_set(["tasks", 0, "id"], "cam\x07"), "tasks[0].id", id="task-id-control"),
     pytest.param(_set(["resources", 1, "id"], "cpu\t1"), "resources[1].id", id="resource-id-tab"),
     pytest.param(_set(["resources", 0, "id"], "cpu,0"), "resources[0].id", id="resource-id-comma"),
+    pytest.param(_set(["tasks", 0, "id"], '"cam'), "tasks[0].id", id="task-id-quote"),
+    pytest.param(_set(["resources", 0, "id"], 'cpu"0'), "resources[0].id", id="resource-id-quote"),
     # values of a JSON type the field does not take, none of them converted
     pytest.param(_set(["resources", 0, "u_max"], True), "resources[0].u_max", id="u-max-bool"),
     pytest.param(_set(["resources", 0, "u_max"], "0.5"), "resources[0].u_max", id="u-max-string"),

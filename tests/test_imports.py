@@ -1,8 +1,10 @@
-"""Every module in src/rtorch uses each name it imports (no dead imports), and
-the CLI loads no heavy module that no command needs: no command loads SciPy."""
+"""Every module in src/rtorch uses each name it imports (no dead imports), the
+third-party packages it imports are exactly the declared dependencies, and the
+CLI loads no heavy module that no command needs: no command loads SciPy."""
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -82,3 +84,18 @@ print(json.dumps({{"codes": codes, "scipy": sorted(m for m in sys.modules if m.s
     decisions = [json.loads(line) for line in (out / "decisions.jsonl").read_text().splitlines()]
     assert any(d["decision"] is not None for d in decisions)
     assert report["scipy"] == []
+
+
+def test_declared_dependencies_match_imports():
+    tomllib = pytest.importorskip("tomllib")
+    imported = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"rtorch"}
+    project = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in project["dependencies"]}
+    assert third_party == declared

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from rtorch.reporting import (
     RunReport,
     TaskStats,
+    _peaks,
     build_report,
     export_histogram,
     histogram_modes,
@@ -18,7 +19,7 @@ from rtorch.reporting import (
 )
 from rtorch.simulation import SimTrace
 
-from oracles import two_pass_stats
+from oracles import histogram_modes_reference, two_pass_stats
 
 
 def trace_with_means():
@@ -200,3 +201,28 @@ def test_minor_ripples_are_not_modes():
     counts = [0, 5, 980, 10, 5, 8, 4, 0]
     modes = histogram_modes(make_bins(counts))
     assert modes == [2]
+
+
+def test_histogram_shorter_than_smoothing_window_keeps_its_indices():
+    # a constant runtime fills one bin; smoothing must not shift or lengthen the histogram
+    assert histogram_modes(make_bins([1_000])) == [0]
+    assert histogram_modes(make_bins([1_000, 5])) == [0]
+
+
+# zero-padded histograms: small integers (plateaus are common) or floats
+_HISTOGRAM_VALUES = st.one_of(
+    st.lists(st.integers(0, 4), min_size=1, max_size=39),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=39),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=_HISTOGRAM_VALUES, prominence=st.sampled_from([0.0, 0.02, 0.1]),
+       smooth=st.sampled_from([1, 2, 3, 5]))
+def test_peaks_and_modes_match_scipy_find_peaks(values, prominence, smooth):
+    find_peaks = pytest.importorskip("scipy.signal").find_peaks
+    padded = np.array([0.0, *values, 0.0])
+    assert _peaks(padded, prominence) == list(find_peaks(padded, prominence=prominence)[0])
+    if len(values) >= smooth:
+        bins = make_bins(values)
+        assert histogram_modes(bins, prominence, smooth) == histogram_modes_reference(bins, prominence, smooth)
