@@ -35,7 +35,7 @@ from .probability import (
     NormalParams,
     breach_cutoffs,
     buffer,
-    fit_normal,
+    fit_normals,
     tail_bounds,
     tail_z_bounds,
 )
@@ -371,14 +371,17 @@ def window_fits(
     """Normal fit over each task's most recent ``fit_window`` samples.
 
     Tasks with fewer than ``MIN_FIT_SAMPLES`` samples get no entry, so consumers
-    fall back to the declared execution model.
+    fall back to the declared execution model.  Windows of one length are
+    fitted together, as the rows of one array.
     """
-    fits: dict[str, NormalParams] = {}
+    by_length: dict[int, list[str]] = {}
     for tid, samples in runtimes.items():
-        window = samples[-fit_window:]
-        if len(window) < MIN_FIT_SAMPLES:
-            continue
-        fits[tid] = fit_normal(window)
+        n = min(len(samples), fit_window)
+        if n >= MIN_FIT_SAMPLES:
+            by_length.setdefault(n, []).append(tid)
+    fits: dict[str, NormalParams] = {}
+    for n, tids in by_length.items():
+        fits.update(zip(tids, fit_normals([runtimes[tid][-n:] for tid in tids])))
     return fits
 
 

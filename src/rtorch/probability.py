@@ -189,10 +189,24 @@ def fit_normal(samples: Sequence[float]) -> NormalParams:
 
     A constant stream (one sample included) fits exactly, with sigma 0.
     """
-    xs = np.asarray(samples, dtype=np.float64)
-    if xs.min() == xs.max():
-        return NormalParams(float(xs[0]), 0.0)
-    return NormalParams(float(xs.mean()), float(xs.std(ddof=1)))
+    return fit_normals([samples])[0]
+
+
+def fit_normals(rows: Sequence[Sequence[float]]) -> list[NormalParams]:
+    """``fit_normal`` of each row, one NumPy reduction per statistic for all rows.
+
+    The rows must share one length.  Each row reduces along its own contiguous
+    axis, so a row fits to the same bits alone or stacked with others.
+    """
+    xs = np.asarray(rows, dtype=np.float64)
+    constant = (xs.min(axis=1) == xs.max(axis=1)).tolist()  # an empty row raises here
+    firsts = xs[:, 0].tolist()
+    if all(constant):  # also every one-sample row, whose ddof=1 spread is undefined
+        return [NormalParams(first, 0.0) for first in firsts]
+    mus = xs.mean(axis=1).tolist()
+    sigmas = xs.std(axis=1, ddof=1).tolist()
+    return [NormalParams(first, 0.0) if same else NormalParams(mu, sigma)
+            for first, same, mu, sigma in zip(firsts, constant, mus, sigmas)]
 
 
 @dataclass

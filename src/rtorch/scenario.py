@@ -36,8 +36,9 @@ position).  One rule per JSON type; no value is converted to another type:
 
 Ids must be non-empty and hold no comma, double quote, whitespace or control
 character, so they survive a CSV row.  Ranges: ``u_max`` in (0, 1], thresholds
-in [0, 1], jitter ``sigma_us`` >= 0, interference rate and magnitude positive
-with ``rate_per_s * magnitude_us`` at most 1e6, and ``model.validate_task``.
+in [0, 1], ``fit_window`` at least ``MIN_FIT_SAMPLES`` (30), jitter ``sigma_us``
+>= 0, interference rate and magnitude positive with ``rate_per_s * magnitude_us``
+at most 1e6, and ``model.validate_task``.
 """
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ from typing import Any, Mapping
 from .model import (Criticality, ResourceState, TaskSpec, read_array, read_bool, read_enum, read_int,
                     read_number, read_object, validate_task)
 from .orchestration import DEFAULT_THRESHOLDS, OrchestratorConfig, Strategy
-from .probability import NormalParams
+from .probability import MIN_FIT_SAMPLES, NormalParams
 from .simulation import Interference, NoiseModel
 
 
@@ -118,7 +119,7 @@ def _parse_orchestrator(data: Any) -> OrchestratorConfig:
         thresholds={crit: read_number(raw, crit.value, at, limit, lambda p: 0.0 <= p <= 1.0,
                                       "probability in [0, 1]")
                     for crit, limit in DEFAULT_THRESHOLDS.items()},
-        fit_window=read_int(data, "fit_window", where, 1024, low=2),
+        fit_window=read_int(data, "fit_window", where, 1024, low=MIN_FIT_SAMPLES),
         strategy=read_enum(Strategy, data, "strategy", where, "naive"),
         mc_samples=read_int(data, "mc_samples", where, 1000, low=1),
         enabled=read_bool(data, "enabled", where, True),

@@ -11,23 +11,27 @@ rank in sorted-id order and j.  Events are processed in a total order:
 with kind ranks release < interference-end < complete < deadline-check <
 interference-start < monitor-epoch.  The engine dispatches on the rank alone;
 task and CPU ids enter the heap as their index in sorted-id order, which
-orders ties exactly as the id strings do.  Within a CPU the dispatcher picks
-the ready job with the smallest (evicted?, deadline-or-period, task id,
-release) key, so EDF/RM ties resolve by task id and a running job is
-preempted exactly when a strictly smaller key becomes ready.
+orders ties exactly as the id strings do.  Deadline checks are one heap event
+per distinct deadline time: it checks the jobs due then in task order, the
+order per-job events would have popped in, since no deadline check schedules
+anything.  Within a CPU the dispatcher picks the ready job with the smallest
+(evicted?, deadline-or-period, task id, release) key, so EDF/RM ties resolve
+by task id and a running job is preempted exactly when a strictly smaller key
+becomes ready.
 
 A job's recorded runtime is completion minus first dispatch: queueing before
 the first dispatch does not count, but preemptions after it (including
 interference, which models higher-priority interrupts stealing the CPU from
 every task) stretch the measurement.  Jobs that miss their deadline keep
-running to completion; the miss is recorded the moment the deadline passes
-with work outstanding.
+running to completion; the miss is still recorded the moment the deadline
+passes with work outstanding.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
@@ -85,6 +89,9 @@ class Job:
         self.first_start_us = -1
         self.measure_start_us = -1
         self.done = False
+
+
+_task_rank = attrgetter("task")
 
 
 @dataclass
@@ -251,6 +258,8 @@ def run_sim(
     heap: list[tuple] = []
     heappush, heappop = heapq.heappush, heapq.heappop
     counter = itertools.count()
+    # deadline time -> the jobs due then; one heap event checks them all
+    dues: dict[int, list[Job]] = {}
 
     def job_key(cpu: _Cpu, job: Job) -> tuple:
         t = job.task
@@ -359,8 +368,14 @@ def run_sim(
             job = Job(tie, cpu, now, now + deadline[tie], demand[tie]())
             append((now, "release", ids[tie], cpu.id))
             open_jobs[tie].append(job)
-            if job.abs_deadline_us <= duration_us:
-                heappush(heap, (job.abs_deadline_us, _R_DEADLINE, tie, next(counter), job, 0))
+            due_us = job.abs_deadline_us
+            if due_us <= duration_us:
+                due = dues.get(due_us)
+                if due is None:
+                    dues[due_us] = [job]
+                    heappush(heap, (due_us, _R_DEADLINE, 0, next(counter), None, 0))
+                else:
+                    due.append(job)
             nxt = now + period[tie]
             next_release[tie] = nxt
             if nxt < duration_us:
@@ -388,8 +403,12 @@ def run_sim(
             dispatch(cpu, now)
 
         elif rank == _R_DEADLINE:
-            if not obj.done:
-                append((now, "deadline_miss", ids[tie], obj.cpu.id))
+            due = dues.pop(now)
+            if len(due) > 1:
+                due.sort(key=_task_rank)  # the order per-job events would have popped in
+            for job in due:
+                if not job.done:
+                    append((now, "deadline_miss", ids[job.task], job.cpu.id))
 
         elif rank == _R_IFR_START:
             cpu = obj

@@ -61,6 +61,14 @@ def two_pass_stats(samples) -> tuple[float, float]:
     return mean, var
 
 
+def fit_normal_reference(samples) -> tuple[float, float]:
+    """``fit_normal`` on one 1-D array, before windows were fitted as stacked rows."""
+    xs = np.asarray(samples, dtype=np.float64)
+    if xs.min() == xs.max():
+        return float(xs[0]), 0.0
+    return float(xs.mean()), float(xs.std(ddof=1))
+
+
 def ks_statistic_reference(samples, params) -> float:
     """KS distance to N(mu, sigma) element by element: one CDF and both step gaps per sorted sample."""
     xs = sorted(float(x) for x in samples)

@@ -442,6 +442,7 @@ def _set(path, value):
     pytest.param(_set(["orchestrator", "monitor_period_us"], 0), "orchestrator.monitor_period_us",
                  id="monitor-period-0"),
     pytest.param(_set(["orchestrator", "fit_window"], 1), "orchestrator.fit_window", id="fit-window-1"),
+    pytest.param(_set(["orchestrator", "fit_window"], 29), "orchestrator.fit_window", id="fit-window-29"),
     pytest.param(_set(["orchestrator", "mc_samples"], 0), "orchestrator.mc_samples", id="mc-samples-0"),
     pytest.param(_set(["sim", "noise", "latency_jitter", "sigma_us"], -1), "sim.noise.latency_jitter.sigma_us",
                  id="jitter-sigma-neg"),

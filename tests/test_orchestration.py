@@ -28,10 +28,10 @@ from rtorch.orchestration import (
     select_victim,
     window_fits,
 )
-from rtorch.probability import NormalParams, joint_utilization, miss_probability
+from rtorch.probability import MIN_FIT_SAMPLES, NormalParams, fit_normal, joint_utilization, miss_probability
 from rtorch.simulation import run_sim
 
-from oracles import first_fit_reference, mc_reallocate_reference
+from oracles import first_fit_reference, fit_normal_reference, mc_reallocate_reference
 
 
 def mk_task(tid, period_us, budget_us, crit=Criticality.HARD, mu_us=None, sigma_us=0):
@@ -424,6 +424,36 @@ def test_window_fit_accepts_numpy_integers():
     samples = np.arange(50, 150, dtype=np.int64)
     fits = window_fits({"a": list(samples)}, fit_window=1024)
     assert fits == window_fits({"a": [int(x) for x in samples]}, fit_window=1024)
+
+
+@st.composite
+def runtime_streams(draw):
+    """Per-task runtime lists of mixed lengths: windows still filling, full ones, constant rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    streams = {}
+    for i in range(draw(st.integers(1, 10))):
+        n = draw(st.sampled_from([0, 1, 29, 30, 80, 129, 1_024, 1_500, 4_096]) | st.integers(0, 300))
+        kind = draw(st.sampled_from(["normal", "narrow", "constant", "huge"]))
+        if kind == "constant":
+            samples = [draw(st.integers(0, 2**52))] * n
+        elif kind == "narrow":  # mostly one value, so a window may be constant or not
+            samples = (10_000 + (rng.random(n) < 0.01)).tolist()
+        elif kind == "huge":
+            samples = rng.integers(2**51, 2**52, n).tolist()
+        else:
+            samples = np.rint(rng.normal(draw(st.integers(100, 10**9)), 50.0, n)).astype(int).tolist()
+        streams[f"t{i}"] = samples
+    return streams
+
+
+@settings(max_examples=150, deadline=None)
+@given(runtime_streams(), st.sampled_from([30, 64, 80, 129, 1_024, 2_048]))
+def test_stacked_window_fits_equal_per_task_fits_bit_for_bit(streams, fit_window):
+    fits = window_fits(streams, fit_window)
+    windows = {tid: s[-fit_window:] for tid, s in streams.items() if min(len(s), fit_window) >= MIN_FIT_SAMPLES}
+    assert fits.keys() == windows.keys()
+    for tid, window in windows.items():
+        assert fits[tid] == fit_normal(window) == NormalParams(*fit_normal_reference(window))
 
 
 def test_first_fit_packs_by_declining_utilization():

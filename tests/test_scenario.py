@@ -251,7 +251,7 @@ def test_accepted_task_ids_survive_the_runtimes_csv(tid):
         scenario = parse_scenario(data)
     except ScenarioError as exc:
         assert str(exc).startswith("tasks[0].id: ")
-        assert not tid or any(c == "," or c.isspace() or unicodedata.category(c) == "Cc" for c in tid)
+        assert not tid or any(c in ',"' or c.isspace() or unicodedata.category(c) == "Cc" for c in tid)
         return
     assert scenario.tasks[0].id == tid
     # what simulate writes, analyze reads back

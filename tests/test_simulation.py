@@ -537,3 +537,91 @@ def test_runtimes_csv_reader_matches_reference(header, rows, newline, trailing):
                 return f"error: {exc}"
 
         assert outcome(read_runtimes_csv) == outcome(read_runtimes_csv_reference)
+
+
+# Deadline checks share one heap event per deadline time.  Each case below puts
+# that event in a tie the per-job events of ``run_sim_reference`` ordered one by
+# one, and checks that both engines write the same events.
+
+def _same_as_reference(plan, tasks, resources, **kwargs):
+    hook = kwargs.pop("hook", None)
+    traces = []
+    for engine in (run_sim, run_sim_reference):
+        step = None if hook is None else _ScriptedHook(*hook)
+        traces.append(engine(plan, tasks, resources, hook=step, **kwargs))
+    trace, expected = traces
+    assert trace.events == expected.events
+    assert list(trace.per_task_runtimes.items()) == list(expected.per_task_runtimes.items())
+    return trace.events
+
+
+def test_deadline_tied_with_an_interference_start_that_preempts():
+    # each job runs 0..400+ and misses at 300; at seed 5 an interrupt lands at 300 on a CPU twice
+    tasks = [fixed_task("t2", 1_000, 400, deadline_us=300), fixed_task("T1", 1_000, 400, deadline_us=300)]
+    events = _same_as_reference({"t2": "cpu1", "T1": "cpu0"}, tasks, [edf_cpu("cpu1"), edf_cpu("cpu0")],
+                                noise=NoiseModel(interference=Interference(20_000.0, 2)),
+                                duration_us=20_000, seed=5)
+    misses = {(e[0], e[3]) for e in events if e[1] == "deadline_miss"}
+    tied = [(e[0], e[3]) for e in events if e[1] == "preempt" and (e[0], e[3]) in misses]
+    assert tied == [(2_300, "cpu1"), (15_300, "cpu0")]
+    at = events.index((2_300, "deadline_miss", "t2", "cpu1"))
+    assert events[at + 1] == (2_300, "preempt", "t2", "cpu1")
+
+
+def test_deadline_tied_with_a_monitor_epoch_that_migrates_and_evicts():
+    # cpu0 is overloaded, so both tasks miss at every multiple of 1 ms, the first epoch's time included
+    tasks = [fixed_task("b", 1_000, 600), fixed_task("a", 1_000, 700)]
+    events = _same_as_reference({"a": "cpu0", "b": "cpu0"}, tasks, [edf_cpu("cpu0"), edf_cpu("cpu1")],
+                                duration_us=12_000, hook=(5_000, [({"a": "cpu1"}, {"b"})]))
+    at_epoch = [e for e in events if e[0] == 5_000]
+    assert (5_000, "deadline_miss", "b", "cpu0") in at_epoch
+    assert (5_000, "migrate", "a", "cpu1") in at_epoch
+    assert at_epoch.index((5_000, "deadline_miss", "b", "cpu0")) < at_epoch.index((5_000, "migrate", "a", "cpu1"))
+
+
+def test_completion_exactly_at_the_deadline_is_no_miss():
+    # a finishes at its deadline 500; b, due at the same instant, runs after it and misses
+    tasks = [fixed_task("b", 1_000, 100, deadline_us=500), fixed_task("a", 1_000, 500, deadline_us=500)]
+    events = _same_as_reference({"a": "cpu0", "b": "cpu0"}, tasks, [edf_cpu()], duration_us=3_000)
+    at_500 = [e for e in events if e[0] == 500]
+    assert at_500 == [(500, "complete", "a", "cpu0"), (500, "start", "b", "cpu0"),
+                      (500, "deadline_miss", "b", "cpu0")]
+    assert all(e[2] != "a" for e in events if e[1] == "deadline_miss")
+
+
+def test_tasks_sharing_a_deadline_miss_in_sorted_id_order():
+    # released at 0, 1500, 2000 and 2000, all due at 3000; declared and released out of sorted-id order
+    tasks = [fixed_task("z", 3_000, 3_100), fixed_task("t10", 1_000, 1_100),
+             fixed_task("T1", 1_500, 1_600), fixed_task("cam_a", 2_000, 1_100, deadline_us=1_000)]
+    cpus = [edf_cpu(f"cpu{i}") for i in range(4)]
+    plan = {t.id: f"cpu{i}" for i, t in enumerate(tasks)}
+    events = _same_as_reference(plan, tasks, cpus, duration_us=6_000)
+    assert [e[2] for e in events if e[:2] == (3_000, "deadline_miss")] == ["T1", "cam_a", "t10", "z"]
+
+
+def test_open_job_due_at_the_end_misses():
+    events = _same_as_reference({"a": "cpu0"}, [fixed_task("a", 1_000, 1_500)], [edf_cpu()], duration_us=3_000)
+    assert events[-1] == (3_000, "deadline_miss", "a", "cpu0")
+
+
+def test_open_job_due_past_the_end_has_no_miss_row():
+    events = _same_as_reference({"a": "cpu0"}, [fixed_task("a", 1_000, 1_500)], [edf_cpu()], duration_us=2_500)
+    assert [e[0] for e in events if e[1] == "deadline_miss"] == [1_000, 2_000]
+
+
+def test_one_deadline_event_per_distinct_deadline_time(monkeypatch):
+    pushed = []
+    heappush = simulation.heapq.heappush
+
+    def counting(heap, item):
+        if len(item) == 6 and item[1] == simulation._R_DEADLINE:
+            pushed.append(item[0])
+        heappush(heap, item)
+
+    monkeypatch.setattr(simulation.heapq, "heappush", counting)
+    scenario = load_scenario(SCENARIO_DIR / "table1_4units.json")
+    trace = run_sim(scenario.initial_plan, scenario.tasks, scenario.resources, noise=scenario.sim.noise,
+                    duration_us=scenario.sim.duration_us, seed=scenario.sim.seed)
+    # four tasks of one period: 2,400 jobs, due at 600 distinct times
+    assert sum(len(v) for v in trace.per_task_runtimes.values()) == 2_400
+    assert len(pushed) == len(set(pushed)) == 600
