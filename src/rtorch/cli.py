@@ -107,6 +107,13 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out {out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_INPUT
+
     seed = scenario.sim.seed if args.seed is None else args.seed
     duration = scenario.sim.duration_us if args.duration_us is None else args.duration_us
     hook = None
@@ -123,8 +130,6 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(trace, out / "trace.csv")
     write_runtimes_csv(trace, out / "runtimes.csv")
     write_report_json(report, out / "report.json")
@@ -234,15 +239,10 @@ def cmd_plan(args) -> int:
         # give the random search a starting point even when first-fit gets stuck
         incumbent = {t.id: scenario.resources[0].id for t in scenario.tasks}
 
-    if strategy is Strategy.NAIVE:
-        plan = build_plan(incumbent, tasks, resources)
-    else:
-        view = SystemView(
-            now_us=0, tasks=tasks, resources=resources,
-            assignments=incumbent, fits={},
-        )
-        plan = mc_reallocate(view, thresholds, mc_samples, seed)
-    print(json.dumps(plan.to_dict(), indent=2, sort_keys=True))
+    if strategy is Strategy.MONTE_CARLO:
+        view = SystemView(now_us=0, tasks=tasks, resources=resources, assignments=incumbent, fits={})
+        incumbent = mc_reallocate(view, thresholds, mc_samples, seed).assignments
+    print(json.dumps(build_plan(incumbent, tasks, resources).to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
 

@@ -40,9 +40,6 @@ class MixtureMode:
     weight: float
     offset_us: int
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"weight": self.weight, "offset_us": self.offset_us}
-
     @classmethod
     def from_dict(cls, data: Any, where: str = "mixture") -> "MixtureMode":
         data = read_object(data, where)
@@ -63,24 +60,13 @@ class ExecModel:
     wcet_us: int
     mixture: tuple[MixtureMode, ...] = ()
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "mu_us": self.mu_us,
-            "sigma_us": self.sigma_us,
-            "cutoff_lo_us": self.cutoff_lo_us,
-            "wcet_us": self.wcet_us,
-        }
-        if self.mixture:
-            out["mixture"] = [m.to_dict() for m in self.mixture]
-        return out
-
     @classmethod
     def from_dict(cls, data: Any, where: str = "exec_model") -> "ExecModel":
         data = read_object(data, where)
         return cls(
             mu_us=read_int(data, "mu_us", where),
             sigma_us=read_int(data, "sigma_us", where),
-            cutoff_lo_us=read_int(data, "cutoff_lo_us", where),
+            cutoff_lo_us=read_int(data, "cutoff_lo_us", where, low=0),
             wcet_us=read_int(data, "wcet_us", where),
             mixture=tuple(MixtureMode.from_dict(m, f"{where}.mixture[{j}]")
                           for j, m in enumerate(read_array(data, "mixture", where, ()))),
@@ -105,16 +91,6 @@ class TaskSpec:
         if self.deadline_us is None:
             object.__setattr__(self, "deadline_us", self.period_us)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "period_us": self.period_us,
-            "deadline_us": self.deadline_us,
-            "budget_us": self.budget_us,
-            "criticality": self.criticality.value,
-            "exec_model": self.exec_model.to_dict(),
-        }
-
     @classmethod
     def from_dict(cls, data: Any, where: str = "task") -> "TaskSpec":
         data = read_object(data, where)
@@ -136,14 +112,6 @@ class ResourceState:
     policy: Policy = Policy.EDF
     u_max: float = 1.0
     criticality: Criticality = Criticality.HARD
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "policy": self.policy.value,
-            "u_max": self.u_max,
-            "criticality": self.criticality.value,
-        }
 
     @classmethod
     def from_dict(cls, data: Any, where: str = "resource") -> "ResourceState":
@@ -170,7 +138,7 @@ class AllocationPlan:
 
     Treat instances as immutable: changing assignments means building a new
     plan (see ``orchestration.build_plan``), which recomputes ``per_resource``
-    so the summaries can never go stale.
+    so the summaries can never go stale.  ``mc_reallocate`` leaves them empty.
     """
 
     assignments: Mapping[str, str]

@@ -117,25 +117,23 @@ def group_threshold(tasks: Sequence[TaskSpec], thresholds: Mapping[Criticality, 
     return min(thresholds[t.criticality] for t in tasks)
 
 
-def evaluate_epoch(view: SystemView, config: OrchestratorConfig) -> list[EpochEval]:
-    """Per-resource miss probability against the strictest hosted threshold."""
+def _breaches(loads: Mapping[str, GroupLoad], thresholds: Mapping[Criticality, float]) -> list[EpochEval]:
+    """The one breach rule: a resource's miss probability above the strictest threshold it hosts."""
     out = []
-    for rid, load in view.loads.items():
+    for rid, load in loads.items():
         prob = load.miss_prob()
-        thr = group_threshold(load.tasks, config.thresholds)
+        thr = group_threshold(load.tasks, thresholds)
         out.append(EpochEval(rid, prob, thr, prob > thr))
     return out
 
 
-def select_victim(view: SystemView, rid: str) -> str:
-    """Task next in line on the resource: earliest next absolute deadline, then id."""
-    candidates = _victim_order(view, rid)
-    if not candidates:
-        raise ValueError(f"resource '{rid}' hosts no tasks")
-    return candidates[0]
+def evaluate_epoch(view: SystemView, config: OrchestratorConfig) -> list[EpochEval]:
+    """Per-resource miss probability against the strictest hosted threshold."""
+    return _breaches(view.loads, config.thresholds)
 
 
-def _victim_order(view: SystemView, rid: str) -> list[str]:
+def victim_order(view: SystemView, rid: str) -> list[str]:
+    """Tasks on the resource in the order they are moved: earliest next absolute deadline, then id."""
     hosted = [t.id for t in view.loads[rid].tasks]
     return sorted(hosted, key=lambda tid: (view.next_deadline_us.get(tid, 0), tid))
 
@@ -196,10 +194,9 @@ def plan_objective(view: SystemView, assignments: Mapping[str, str],
                    thresholds: Mapping[Criticality, float]) -> tuple[int, float, int]:
     """(breached resources, worst miss probability, occupied resources): less is better."""
     loads = group_loads(view.resources, view.tasks, assignments, view.fits, view.evicted)
-    occupied = [load for load in loads.values() if load.tasks]
-    probs = [load.miss_prob() for load in occupied]
-    breached = sum(p > group_threshold(load.tasks, thresholds) for p, load in zip(probs, occupied))
-    return (breached, max(probs, default=0.0), len(occupied))
+    rows = _breaches(loads, thresholds)  # an unoccupied resource neither breaches nor raises the worst
+    return (sum(row.breached for row in rows), max((row.miss_prob for row in rows), default=0.0),
+            sum(1 for load in loads.values() if load.tasks))
 
 
 def mc_reallocate(
@@ -213,7 +210,8 @@ def mc_reallocate(
     Tasks on cooldown keep their incumbent placement; the rest are assigned
     uniformly at random each sample.  The incumbent is always evaluated, so
     the returned plan's objective is <= the incumbent's.  Of several equally
-    good samples the earliest wins.
+    good samples the earliest wins.  The plan carries no per-resource
+    summaries: a caller that prints them calls ``build_plan``.
 
     Samples are drawn and screened in blocks of ``_MC_BLOCK``: a vectorized
     pass bounds each sample's objective from both sides, and only samples
@@ -250,7 +248,7 @@ def mc_reallocate(
             obj = plan_objective(view, candidate, thresholds)
             if obj < best_obj:
                 best_obj, best_assign, best_row = obj, candidate, row
-    return build_plan(best_assign, view.tasks, view.resources, view.fits, view.evicted)
+    return AllocationPlan(assignments=best_assign)
 
 
 class _ObjectiveScreen:
@@ -351,17 +349,13 @@ def orchestrate_step(
     worst = max(breaches, key=lambda e: (e.miss_prob, e.resource))
 
     if config.strategy is Strategy.NAIVE:
-        victims = [t for t in _victim_order(view, worst.resource) if t not in view.cooldown]
+        victims = [t for t in victim_order(view, worst.resource) if t not in view.cooldown]
         if not victims:
             return ReallocationDecision(moved=(), trigger=(worst.resource, worst.miss_prob, worst.threshold))
         return naive_reallocate(view, victims[0], config.thresholds)
 
-    plan = mc_reallocate(view, config.thresholds, config.mc_samples, mc_seed)
-    moved = tuple(
-        (tid, view.assignments[tid], plan.assignments[tid])
-        for tid in view.assignments
-        if plan.assignments[tid] != view.assignments[tid]
-    )
+    best = mc_reallocate(view, config.thresholds, config.mc_samples, mc_seed).assignments
+    moved = tuple((tid, src, best[tid]) for tid, src in view.assignments.items() if best[tid] != src)
     return ReallocationDecision(moved=moved, trigger=(worst.resource, worst.miss_prob, worst.threshold))
 
 

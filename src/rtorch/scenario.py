@@ -36,9 +36,9 @@ position).  One rule per JSON type; no value is converted to another type:
 
 Ids must be non-empty and hold no comma, double quote, whitespace or control
 character, so they survive a CSV row.  Ranges: ``u_max`` in (0, 1], thresholds
-in [0, 1], ``fit_window`` at least ``MIN_FIT_SAMPLES`` (30), jitter ``sigma_us``
->= 0, interference rate and magnitude positive with ``rate_per_s * magnitude_us``
-at most 1e6, and ``model.validate_task``.
+in [0, 1], ``fit_window`` at least ``MIN_FIT_SAMPLES`` (30), ``cutoff_lo_us`` and
+jitter ``sigma_us`` >= 0, interference rate and magnitude positive with
+``rate_per_s * magnitude_us`` at most 1e6, and ``model.validate_task``.
 """
 from __future__ import annotations
 
@@ -49,7 +49,7 @@ from typing import Any, Mapping
 
 from .model import (Criticality, ResourceState, TaskSpec, read_array, read_bool, read_enum, read_int,
                     read_number, read_object, validate_task)
-from .orchestration import DEFAULT_THRESHOLDS, OrchestratorConfig, Strategy
+from .orchestration import OrchestratorConfig, Strategy
 from .probability import MIN_FIT_SAMPLES, NormalParams
 from .simulation import Interference, NoiseModel
 
@@ -114,15 +114,16 @@ def _parse_orchestrator(data: Any) -> OrchestratorConfig:
     unknown = sorted(raw.keys() - {crit.value for crit in Criticality})
     if unknown:
         raise ValueError(f"{at}: unknown criticality '{unknown[0]}'")
+    default = OrchestratorConfig()
     return OrchestratorConfig(
-        monitor_period_us=read_int(data, "monitor_period_us", where, 1_000_000, low=1),
+        monitor_period_us=read_int(data, "monitor_period_us", where, default.monitor_period_us, low=1),
         thresholds={crit: read_number(raw, crit.value, at, limit, lambda p: 0.0 <= p <= 1.0,
                                       "probability in [0, 1]")
-                    for crit, limit in DEFAULT_THRESHOLDS.items()},
-        fit_window=read_int(data, "fit_window", where, 1024, low=MIN_FIT_SAMPLES),
-        strategy=read_enum(Strategy, data, "strategy", where, "naive"),
-        mc_samples=read_int(data, "mc_samples", where, 1000, low=1),
-        enabled=read_bool(data, "enabled", where, True),
+                    for crit, limit in default.thresholds.items()},
+        fit_window=read_int(data, "fit_window", where, default.fit_window, low=MIN_FIT_SAMPLES),
+        strategy=read_enum(Strategy, data, "strategy", where, default.strategy),
+        mc_samples=read_int(data, "mc_samples", where, default.mc_samples, low=1),
+        enabled=read_bool(data, "enabled", where, default.enabled),
     )
 
 
@@ -152,8 +153,8 @@ def _parse(data: Any) -> Scenario:
 
     raw_sim = read_object(data.get("sim", {}), "sim")
     sim = SimSettings(
-        duration_us=read_int(raw_sim, "duration_us", "sim", 60_000_000, low=1),
-        seed=read_int(raw_sim, "seed", "sim", 0, low=0),
+        duration_us=read_int(raw_sim, "duration_us", "sim", SimSettings.duration_us, low=1),
+        seed=read_int(raw_sim, "seed", "sim", SimSettings.seed, low=0),
         noise=_parse_noise(raw_sim.get("noise"), "sim.noise"),
     )
 

@@ -77,7 +77,7 @@ class Job:
     """One released instance of a task, bound to the CPU it was released on."""
 
     __slots__ = ("task", "cpu", "release_us", "abs_deadline_us", "demand_us",
-                 "executed_us", "first_start_us", "measure_start_us", "done")
+                 "executed_us", "measure_start_us", "done")
 
     def __init__(self, task: int, cpu: "_Cpu", release_us: int, abs_deadline_us: int, demand_us: int):
         self.task = task  # interned task index
@@ -86,8 +86,7 @@ class Job:
         self.abs_deadline_us = abs_deadline_us
         self.demand_us = demand_us
         self.executed_us = 0
-        self.first_start_us = -1
-        self.measure_start_us = -1
+        self.measure_start_us = -1  # -1 until the first dispatch; times are never negative
         self.done = False
 
 
@@ -247,7 +246,6 @@ def run_sim(
     where = [cpu_map[assignments[tid]] for tid in ids]
     demoted = [0] * len(ids)
     open_jobs: list[list[Job]] = [[] for _ in ids]
-    next_release = [0] * len(ids)
     runtimes: dict[str, list[int]] = {t.id: [] for t in tasks}
     samples = [runtimes[tid] for tid in ids]
     evicted: set[str] = set()
@@ -293,15 +291,11 @@ def run_sim(
         cpu.running_key = key
         cpu.run_since = now
         cpu.seq = seq = cpu.seq + 1
+        append((now, "start" if job.measure_start_us < 0 else "resume", ids[job.task], cpu.id))
         if job.executed_us == 0:
             # runtime measurement anchors at the dispatch where real progress begins,
             # so a zero-length dispatch segment does not inflate the measurement
             job.measure_start_us = now
-        if job.first_start_us < 0:
-            job.first_start_us = now
-            append((now, "start", ids[job.task], cpu.id))
-        else:
-            append((now, "resume", ids[job.task], cpu.id))
         heappush(heap, (now + job.demand_us - job.executed_us, _R_COMPLETE, job.task, next(counter), job, seq))
 
     def apply_update(update: PlanUpdate, now: int) -> None:
@@ -333,7 +327,8 @@ def run_sim(
         for tid in task_map:
             t = index[tid]
             jobs = open_jobs[t]
-            nd[tid] = jobs[0].abs_deadline_us if jobs else next_release[t] + deadline[t]
+            # releases fall at multiples of the period, and those up to now have happened
+            nd[tid] = jobs[0].abs_deadline_us if jobs else (now // period[t] + 1) * period[t] + deadline[t]
         return SimSnapshot(
             now_us=now,
             assignments=dict(assignments),
@@ -377,7 +372,6 @@ def run_sim(
                 else:
                     due.append(job)
             nxt = now + period[tie]
-            next_release[tie] = nxt
             if nxt < duration_us:
                 heappush(heap, (nxt, _R_RELEASE, tie, next(counter), None, 0))
             heappush(cpu.ready, (job_key(cpu, job), job))

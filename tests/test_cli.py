@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import DATA_DIR, SCENARIO_DIR
 from rtorch import cli
+from rtorch.probability import MIN_FIT_SAMPLES
 from rtorch.scenario import ScenarioError, parse_scenario
 
 CAMERA_RUNTIMES = DATA_DIR / "camera_runtimes.csv"
@@ -346,6 +347,18 @@ def test_out_of_range_options_exit_one_with_one_line(argv, option, tmp_path, cap
     assert not out_dir.exists()  # rejected before anything ran
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/run"], ids=["existing-file", "under-a-file"])
+def test_unusable_out_exits_one_with_one_line(out, tmp_path, capsys):
+    (tmp_path / "taken").write_text("kept\n")
+    argv = ["simulate", "--scenario", str(SCENARIO_DIR / "table1_4units.json"), "--out", str(tmp_path / out)]
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: --out {tmp_path / out}: ")
+    assert (tmp_path / "taken").read_text() == "kept\n"
+
+
 def _noisy_conveyor():
     """conveyor.json with jitter, interference and a mixture mode, so every section is present."""
     data = json.loads((SCENARIO_DIR / "conveyor.json").read_text())
@@ -384,6 +397,10 @@ def _set(path, value):
                  id="sigma-bool"),
     pytest.param(_set(["tasks", 0, "exec_model", "cutoff_lo_us"], 31250.0),
                  "tasks[0].exec_model.cutoff_lo_us", id="cutoff-float"),
+    # accepted, this model's demands run backwards: a job would complete before it started
+    pytest.param(_set(["tasks", 0, "exec_model"], {"mu_us": -100, "sigma_us": 0, "cutoff_lo_us": -200,
+                                                    "wcet_us": -50}),
+                 "tasks[0].exec_model.cutoff_lo_us", id="cutoff-negative"),
     pytest.param(_set(["tasks", 0, "exec_model", "wcet_us"], 81250.25), "tasks[0].exec_model.wcet_us",
                  id="wcet-float"),
     pytest.param(_set(["tasks", 2, "exec_model", "mixture", 0, "offset_us"], 1000.5),
@@ -540,7 +557,8 @@ def _scenarios(draw):
     if draw(st.booleans()):
         data["orchestrator"] = {"enabled": True, "monitor_period_us": draw(st.sampled_from([1_000, 4_000])),
                                 "strategy": draw(st.sampled_from(["naive", "monte_carlo"])),
-                                "mc_samples": draw(st.integers(1, 20)), "fit_window": draw(st.integers(2, 64)),
+                                "mc_samples": draw(st.integers(1, 20)),
+                                "fit_window": draw(st.integers(MIN_FIT_SAMPLES, 64)),
                                 "thresholds": {"hard": draw(st.sampled_from([0.0, 0.05, 1.0]))}}
     if draw(st.booleans()):
         data["initial_plan"] = {t["id"]: draw(st.sampled_from(resources))["id"] for t in tasks}

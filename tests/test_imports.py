@@ -1,6 +1,7 @@
-"""Every module in src/rtorch uses each name it imports (no dead imports), the
-third-party packages it imports are exactly the declared dependencies, and the
-CLI loads no heavy module that no command needs: no command loads SciPy."""
+"""Every module in src/rtorch uses each name it imports (no dead imports) and
+each public name it defines (no dead surface), the third-party packages it
+imports are exactly the declared dependencies, and the CLI loads no heavy module
+that no command needs: no command loads SciPy."""
 import ast
 import json
 import os
@@ -37,6 +38,61 @@ def test_checker_flags_unused_and_accepts_used():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Code that may use a public rtorch name besides MODULES; tests do not count, so a name
+# that only a test calls is dead.
+OTHER_CODE = sorted({p for d in ("src", "scripts", "perfbench") for p in (REPO_ROOT / d).rglob("*.py")}
+                    - set(MODULES))
+# Public names kept for an acceptance criterion alone, each with the criterion that pins it.
+DEAD_BY_DESIGN = {
+    "admission.edf_bound": "criterion 03: the EDF bound the utilization test states",
+    "reporting.histogram_modes": "criterion 06: runtime histogram shapes",
+}
+
+
+def public_definitions(source: str) -> list[tuple[str, int, int]]:
+    """(name, first line, last line) of each public top-level def, class and assignment."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        found += [(name, node.lineno, node.end_lineno) for name in names if not name.startswith("_")]
+    return found
+
+
+def dead_names(modules: dict[str, str], searched: dict[str, str]) -> list[str]:
+    """``module.name`` for each public name of ``modules`` (module name -> source) that no
+    text in ``searched`` (module name -> source) mentions as a whole word outside the
+    name's own definition."""
+    dead = []
+    for module, source in modules.items():
+        for name, first, last in public_definitions(source):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(not (where == module and first <= text.count("\n", 0, match.start()) + 1 <= last)
+                       for where, text in searched.items() for match in word.finditer(text)):
+                dead.append(f"{module}.{name}")
+    return dead
+
+
+def test_dead_name_checker_skips_a_name_own_definition():
+    module = "def used():\n    return 1\n\n\ndef unused():\n    return unused\n\n\nX = used()\n_private = 0\n"
+    searched = {"m": module, "other": "print(m.X, unused_too)\n"}
+    assert dead_names({"m": module}, searched) == ["m.unused"]
+
+
+def test_every_public_name_is_used_outside_its_definition():
+    modules = {path.stem: path.read_text() for path in MODULES}
+    others = {str(path.relative_to(REPO_ROOT)): path.read_text() for path in OTHER_CODE}
+    dead = dead_names(modules, {**modules, **others})
+    assert sorted(set(dead) - set(DEAD_BY_DESIGN)) == []
+    assert set(DEAD_BY_DESIGN) <= set(dead), "an exempt name is used now, or gone: drop its exemption"
 
 
 def test_cli_import_leaves_out_scipy_signal():

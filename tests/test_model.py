@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -56,14 +59,19 @@ def resource_states():
     )
 
 
+def as_json(value):
+    """The dataclass as a scenario file would hold it: enums by value, tuples as arrays."""
+    return json.loads(json.dumps(dataclasses.asdict(value), default=lambda member: member.value))
+
+
 @given(task_specs())
 def test_task_roundtrip(task):
-    assert TaskSpec.from_dict(task.to_dict()) == task
+    assert TaskSpec.from_dict(as_json(task)) == task
 
 
 @given(resource_states())
 def test_resource_roundtrip(resource):
-    assert ResourceState.from_dict(resource.to_dict()) == resource
+    assert ResourceState.from_dict(as_json(resource)) == resource
 
 
 def test_deadline_defaults_to_period():
