@@ -13,6 +13,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .admission import admit
@@ -29,9 +30,8 @@ from .orchestration import (
 from .probability import (
     GOODNESS_POOR,
     MIN_FIT_SAMPLES,
-    fit_normal,
+    StreamingFit,
     joint_utilization,
-    ks_statistic,
     miss_probability,
 )
 from .reporting import build_report, export_histogram, write_report_json
@@ -108,6 +108,7 @@ def cmd_simulate(args) -> int:
         return EXIT_INPUT
 
     out = Path(args.out)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # innermost first
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -128,6 +129,8 @@ def cmd_simulate(args) -> int:
         report = build_report(trace, bin_width_us=args.bin_width_us)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        for d in made:  # a rejected run leaves no directory behind
+            d.rmdir()
         return EXIT_INPUT
 
     write_trace_csv(trace, out / "trace.csv")
@@ -178,8 +181,7 @@ def cmd_analyze(args) -> int:
             print(f"error: task '{tid}' has {len(values)} samples; need at least {MIN_FIT_SAMPLES}",
                   file=sys.stderr)
             return EXIT_INPUT
-        params = fit_normal(values)
-        goodness = ks_statistic(values, params)
+        params, goodness = StreamingFit(values).to_normal()
         flag = "  WARNING: poor normal fit" if goodness > GOODNESS_POOR else ""
         print(f"task {tid}: n={len(values)} mu={params.mu:.1f}us sigma={params.sigma:.1f}us "
               f"goodness={goodness:.4f}{flag}")
@@ -242,7 +244,7 @@ def cmd_plan(args) -> int:
     if strategy is Strategy.MONTE_CARLO:
         view = SystemView(now_us=0, tasks=tasks, resources=resources, assignments=incumbent, fits={})
         incumbent = mc_reallocate(view, thresholds, mc_samples, seed).assignments
-    print(json.dumps(build_plan(incumbent, tasks, resources).to_dict(), indent=2, sort_keys=True))
+    print(json.dumps(asdict(build_plan(incumbent, tasks, resources)), indent=2, sort_keys=True))
     return EXIT_OK
 
 

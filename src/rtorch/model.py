@@ -139,19 +139,11 @@ class AllocationPlan:
     Treat instances as immutable: changing assignments means building a new
     plan (see ``orchestration.build_plan``), which recomputes ``per_resource``
     so the summaries can never go stale.  ``mc_reallocate`` leaves them empty.
+    ``plan`` prints ``dataclasses.asdict`` of one: the field names are its keys.
     """
 
     assignments: Mapping[str, str]
     per_resource: Mapping[str, ResourceLoad] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "assignments": dict(sorted(self.assignments.items())),
-            "per_resource": {
-                rid: {"buffer": load.buffer, "miss_prob": load.miss_prob}
-                for rid, load in sorted(self.per_resource.items())
-            },
-        }
 
 
 def utilization(task: TaskSpec) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
@@ -74,13 +74,6 @@ class ReallocationDecision:
     moved: tuple[tuple[str, str, str], ...]  # (task, from, to)
     trigger: tuple[str, float, float]  # (resource, miss_prob, threshold)
     evicted_best_effort: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "moved": [list(m) for m in self.moved],
-            "trigger": [self.trigger[0], self.trigger[1], self.trigger[2]],
-            "evicted_best_effort": list(self.evicted_best_effort),
-        }
 
 
 @dataclass(frozen=True)
@@ -424,16 +417,13 @@ class OrchestratorHook:
         self.records.append({
             "time_us": snapshot.now_us,
             "per_resource": {e.resource: e.miss_prob for e in evals},
-            "decision": decision.to_dict() if decision is not None else None,
+            "decision": asdict(decision) if decision is not None else None,
         })
         if decision is None or not decision.moved:
             return None
-        assignments = dict(snapshot.assignments)
-        for tid, _src, dst in decision.moved:
-            assignments[tid] = dst
-            self._last_moved[tid] = self._epoch
-        evicted = frozenset(snapshot.evicted | set(decision.evicted_best_effort))
-        return PlanUpdate(assignments=assignments, evicted=evicted)
+        moves = {tid: dst for tid, _src, dst in decision.moved}
+        self._last_moved.update(dict.fromkeys(moves, self._epoch))
+        return PlanUpdate(assignments=moves, evicted=frozenset(decision.evicted_best_effort))
 
 
 def first_fit_plan(

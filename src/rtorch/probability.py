@@ -211,33 +211,33 @@ def fit_normals(rows: Sequence[Sequence[float]]) -> list[NormalParams]:
 
 @dataclass
 class StreamingFit:
-    """Runtime samples collected one at a time and fitted with ``fit_normal``.
+    """Runtime samples, given at once or added one at a time, fitted with ``fit_normal``.
 
     Samples are retained so ``to_normal`` can score the fit with a KS
     statistic; memory grows linearly with the stream (fine for analysis runs,
     the orchestrator refits over bounded windows instead).
     """
 
-    _samples: list[float] = field(default_factory=list, repr=False)
+    samples: list[float] = field(default_factory=list, repr=False)
 
     def update(self, sample: float) -> None:
-        self._samples.append(float(sample))
+        self.samples.append(float(sample))
 
     @property
     def count(self) -> int:
-        return len(self._samples)
+        return len(self.samples)
 
     @property
     def mean(self) -> float:
-        return fit_normal(self._samples).mu
+        return fit_normal(self.samples).mu
 
     @property
     def stddev(self) -> float:
-        return fit_normal(self._samples).sigma
+        return fit_normal(self.samples).sigma
 
     def to_normal(self) -> tuple[NormalParams, float]:
         """Fitted NormalParams plus KS goodness-of-fit (smaller is better)."""
         if self.count < MIN_FIT_SAMPLES:
             raise ValueError("insufficient samples")
-        params = fit_normal(self._samples)
-        return params, ks_statistic(self._samples, params)
+        params = fit_normal(self.samples)
+        return params, ks_statistic(self.samples, params)

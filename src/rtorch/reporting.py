@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import takewhile
 from typing import Mapping, Sequence
 
@@ -39,35 +39,6 @@ class RunReport:
     sd_mx_us: float
     histogram: Mapping[str, list[tuple[int, int, int]]]  # (bin_lo, bin_hi, count)
     bin_width_us: int
-
-    def to_dict(self) -> dict:
-        out = self._summary()
-        out["histogram"] = {
-            tid: [[lo, hi, count] for lo, hi, count in bins]
-            for tid, bins in self.histogram.items()
-        }
-        return out
-
-    def _summary(self) -> dict:
-        """``to_dict`` with ``histogram`` left as None."""
-        return {
-            "per_task": {
-                tid: {
-                    "count": s.count,
-                    "mean_us": s.mean_us,
-                    "stddev_us": s.stddev_us,
-                    "min_us": s.min_us,
-                    "max_us": s.max_us,
-                    "miss_count": s.miss_count,
-                }
-                for tid, s in self.per_task.items()
-            },
-            "group_avg_us": self.group_avg_us,
-            "skw": list(self.skw),
-            "sd_mx_us": self.sd_mx_us,
-            "bin_width_us": self.bin_width_us,
-            "histogram": None,
-        }
 
 
 def _bin_runtimes(samples: Sequence[int], bin_width: int) -> list[tuple[int, int, int]]:
@@ -135,14 +106,16 @@ _HISTOGRAM_SLOT = '\n  "histogram": null'
 
 
 def write_report_json(report: RunReport, path) -> None:
-    """Write ``report.to_dict()`` as ``json.dump(indent=2, sort_keys=True)`` does, plus a newline.
+    """Write ``asdict(report)`` as ``json.dump(indent=2, sort_keys=True)`` does, plus a newline.
 
-    Everything but the histogram goes through ``json.dumps``; the histogram is
-    written task by task into its slot, so the whole text is never held in
-    memory.  The slot is unique: top-level keys are the only lines indented by
-    exactly two spaces, and a JSON string cannot hold a raw newline.
+    The keys are the field names of ``RunReport`` and ``TaskStats``.  Everything
+    but the histogram goes through ``json.dumps``; the histogram is written task
+    by task into its slot, so the whole text is never held in memory.  The slot
+    is unique: top-level keys are the only lines indented by exactly two spaces,
+    and a JSON string cannot hold a raw newline.
     """
-    head, tail = json.dumps(report._summary(), indent=2, sort_keys=True).split(_HISTOGRAM_SLOT)
+    summary = asdict(replace(report, histogram=None))
+    head, tail = json.dumps(summary, indent=2, sort_keys=True).split(_HISTOGRAM_SLOT)
     with open(path, "w") as fh:
         fh.write(head)
         fh.write('\n  "histogram": ')

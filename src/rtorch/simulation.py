@@ -121,7 +121,10 @@ class SimSnapshot:
 
 @dataclass(frozen=True)
 class PlanUpdate:
-    """Hook response: the full new assignment map and the full evicted set."""
+    """Hook response: the new resource of each task it moves, and the tasks it demotes.
+
+    Tasks missing from ``assignments`` stay put; ids already evicted are ignored.
+    """
 
     assignments: Mapping[str, str]
     evicted: frozenset[str] = frozenset()
@@ -227,8 +230,9 @@ def run_sim(
     unassigned = sorted(set(task_map) - set(assignments))
     if unassigned:
         raise ValueError(f"plan leaves tasks unassigned: {', '.join(unassigned)}")
-    if tasks and duration_us < max(t.period_us for t in tasks):
-        raise ValueError("duration too short")
+    longest = max((t.period_us for t in tasks), default=None)
+    if longest is not None and duration_us < longest:
+        raise ValueError(f"duration too short: {duration_us} us is less than the longest period, {longest} us")
 
     # Tasks are interned to their rank in sorted-id order, so int heap ties
     # order exactly as the id strings would; per-task state is indexed by it.

@@ -359,6 +359,38 @@ def test_unusable_out_exits_one_with_one_line(out, tmp_path, capsys):
     assert (tmp_path / "taken").read_text() == "kept\n"
 
 
+def test_rejected_run_removes_only_the_out_directories_it_made(tmp_path, capsys):
+    (tmp_path / "kept").mkdir()
+    argv = ["simulate", "--scenario", str(SCENARIO_DIR / "table1_4units.json"), "--duration-us", "10",
+            "--out", str(tmp_path / "kept" / "x" / "run")]
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err == "error: duration too short: 10 us is less than the longest period, 100000 us\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "kept"]
+    assert list((tmp_path / "kept").iterdir()) == []
+
+
+def test_output_keys_are_the_pinned_field_names(tmp_path, capsys):
+    scenario = str(SCENARIO_DIR / "conveyor.json")
+    code, _, _ = run_cli(["simulate", "--scenario", scenario, "--duration-us", "2000000",
+                          "--out", str(tmp_path)], capsys)
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert set(report) == {"bin_width_us", "group_avg_us", "histogram", "per_task", "sd_mx_us", "skw"}
+    assert [set(stats) for stats in report["per_task"].values()] == \
+        [{"count", "max_us", "mean_us", "min_us", "miss_count", "stddev_us"}] * 3
+    records = [json.loads(line) for line in (tmp_path / "decisions.jsonl").read_text().splitlines()]
+    assert [set(record) for record in records] == [{"decision", "per_resource", "time_us"}]
+    assert set(records[0]["decision"]) == {"evicted_best_effort", "moved", "trigger"}
+
+    code, stdout, _ = run_cli(["plan", "--scenario", scenario], capsys)
+    assert code == 0
+    plan = json.loads(stdout)
+    assert set(plan) == {"assignments", "per_resource"}
+    assert [set(load) for load in plan["per_resource"].values()] == [{"buffer", "miss_prob"}] * 2
+
+
 def _noisy_conveyor():
     """conveyor.json with jitter, interference and a mixture mode, so every section is present."""
     data = json.loads((SCENARIO_DIR / "conveyor.json").read_text())

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from rtorch.orchestration import (
     window_fits,
 )
 from rtorch.probability import MIN_FIT_SAMPLES, NormalParams, fit_normal, joint_utilization, miss_probability
-from rtorch.simulation import run_sim
+from rtorch.simulation import PlanUpdate, run_sim
 
 from oracles import first_fit_reference, fit_normal_reference, mc_reallocate_reference
 
@@ -540,7 +541,7 @@ def test_build_plan_excludes_evicted_tasks_from_load():
     assert plan.per_resource["cpu1"].buffer == pytest.approx(0.5)  # cam_a only
     assert plan.per_resource["cpu0"].buffer == pytest.approx(0.5)  # cam_b only
     assert plan.per_resource["cpu0"].miss_prob < 1e-10
-    shape = plan.to_dict()
+    shape = asdict(plan)
     assert set(shape) == {"assignments", "per_resource"}
     assert set(shape["per_resource"]["cpu0"]) == {"buffer", "miss_prob"}
 
@@ -570,13 +571,30 @@ def test_hook_relocates_camera_once_and_misses_drop():
     assert migrations == [(1_000_000, "migrate", "cam_a", "cpu1")]
     first = hook.records[0]
     assert first["decision"] is not None
-    assert first["decision"]["moved"] == [["cam_a", "cpu0", "cpu1"]]
-    assert first["decision"]["evicted_best_effort"] == ["bg_worker"]
+    assert first["decision"]["moved"] == (("cam_a", "cpu0", "cpu1"),)
+    assert first["decision"]["evicted_best_effort"] == ("bg_worker",)
     assert first["per_resource"]["cpu0"] == pytest.approx(0.0786, abs=1e-4)
     assert all(r["decision"] is None for r in hook.records[1:])
     assert len(hook.records) == 29
     # the demoted task keeps finishing work in the leftover slack
     assert len(managed.per_task_runtimes["bg_worker"]) > 100
+
+
+def test_hook_update_holds_only_the_moves_and_the_demoted():
+    tasks, cpus, assignments, _fits = camera_system()
+    hook = OrchestratorHook(tasks, cpus, OrchestratorConfig(monitor_period_us=1_000_000, thresholds=RELAXED),
+                            base_seed=5)
+    updates = []
+
+    class Recorder:
+        period_us = hook.period_us
+
+        def __call__(self, snapshot):
+            updates.append(hook(snapshot))
+            return updates[-1]
+
+    run_sim(dict(assignments), tasks, cpus, duration_us=3_000_000, seed=5, hook=Recorder())
+    assert updates == [PlanUpdate(assignments={"cam_a": "cpu1"}, evicted=frozenset({"bg_worker"})), None]
 
 
 def test_hook_evaluates_each_epoch_once(monkeypatch):

@@ -289,6 +289,28 @@ def test_unassigned_task_rejected():
         run_sim({"a": "cpu0"}, tasks, [edf_cpu()], duration_us=200_000)
 
 
+class _Assign:
+    """Hook that hands back the same update at every epoch."""
+
+    period_us = 50_000
+
+    def __init__(self, assignments):
+        self.assignments = assignments
+
+    def __call__(self, snapshot):
+        return PlanUpdate(assignments=self.assignments)
+
+
+@pytest.mark.parametrize("assignments, message", [
+    ({"ghost": "cpu0"}, "hook assigned unknown task 'ghost'"),
+    ({"a": "cpu9"}, "hook assigned task 'a' to unknown resource 'cpu9'"),
+], ids=["unknown-task", "unknown-resource"])
+def test_hook_update_naming_an_unknown_id_rejected(assignments, message):
+    task = fixed_task("a", 100_000, 10_000)
+    with pytest.raises(ValueError, match=message):
+        run_sim({"a": "cpu0"}, [task], [edf_cpu()], duration_us=200_000, hook=_Assign(assignments))
+
+
 def test_short_duration_rejected():
     task = fixed_task("a", 100_000, 10_000)
     with pytest.raises(ValueError, match="duration too short"):
