@@ -1,8 +1,9 @@
 """Command-line front end: simulate, analyze, plan.
 
 Exit codes: 0 success, 1 input error, 2 hard-criticality deadline miss
-(simulate), 3 infeasible plan (plan).  Set RTORCH_LOG=debug|info|... to raise
-log verbosity.  Runs are reproducible: the same scenario and seed produce
+(simulate), 3 infeasible plan (plan).  A simulate run in which some task
+completes no job exits 1 too, and writes nothing.  Set RTORCH_LOG=debug|info|...
+to raise log verbosity.  Runs are reproducible: the same scenario and seed produce
 byte-identical output files.
 """
 from __future__ import annotations

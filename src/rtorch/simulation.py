@@ -124,6 +124,7 @@ class PlanUpdate:
     """Hook response: the new resource of each task it moves, and the tasks it demotes.
 
     Tasks missing from ``assignments`` stay put; ids already evicted are ignored.
+    An id that names no task, or a resource that does not exist, fails the run.
     """
 
     assignments: Mapping[str, str]
@@ -217,17 +218,16 @@ def run_sim(
     PlanUpdate takes effect at each moved task's next release (in-flight jobs
     finish where they started).
     """
-    assignments = dict(plan)
     task_map = {t.id: t for t in tasks}
     cpu_rank = {rid: i for i, rid in enumerate(sorted({r.id for r in resources}))}
     cpu_map = {r.id: _Cpu(cpu_rank[r.id], r) for r in resources}
 
-    for tid, rid in assignments.items():
+    for tid, rid in plan.items():
         if tid not in task_map:
             raise ValueError(f"plan assigns unknown task '{tid}'")
         if rid not in cpu_map:
             raise ValueError(f"plan assigns task '{tid}' to unknown resource '{rid}'")
-    unassigned = sorted(set(task_map) - set(assignments))
+    unassigned = sorted(set(task_map) - set(plan))
     if unassigned:
         raise ValueError(f"plan leaves tasks unassigned: {', '.join(unassigned)}")
     longest = max((t.period_us for t in tasks), default=None)
@@ -247,12 +247,11 @@ def run_sim(
     # releases fall at k * period < duration_us, so a task releases ceil(duration / period) jobs
     demand = [demand_stream(t.exec_model, noise, s, -(-duration_us // t.period_us)).__next__
               for t, s in zip(specs, task_seeds.spawn(len(specs)))]
-    where = [cpu_map[assignments[tid]] for tid in ids]
+    # the one copy of placement and eviction; open jobs live only in the CPU queues
+    where = [cpu_map[plan[tid]] for tid in ids]
     demoted = [0] * len(ids)
-    open_jobs: list[list[Job]] = [[] for _ in ids]
     runtimes: dict[str, list[int]] = {t.id: [] for t in tasks}
     samples = [runtimes[tid] for tid in ids]
-    evicted: set[str] = set()
 
     events: list[tuple[int, str, str, str]] = []
     append = events.append
@@ -309,16 +308,17 @@ def run_sim(
                 raise ValueError(f"hook assigned unknown task '{tid}'")
             if rid not in cpu_map:
                 raise ValueError(f"hook assigned task '{tid}' to unknown resource '{rid}'")
-            if assignments[tid] != rid:
+            if where[index[tid]].id != rid:
                 append((now, "migrate", tid, rid))
-                assignments[tid] = rid
                 where[index[tid]] = cpu_map[rid]
-        newly_evicted = set(update.evicted) - evicted
-        if newly_evicted:
-            evicted.update(newly_evicted)
-            for tid in newly_evicted:
-                if tid in index:
-                    demoted[index[tid]] = 1
+        rekey = False
+        for tid in sorted(update.evicted):
+            if tid not in index:
+                raise ValueError(f"hook evicted unknown task '{tid}'")
+            if not demoted[index[tid]]:
+                demoted[index[tid]] = 1
+                rekey = True
+        if rekey:
             for cpu in cpu_map.values():
                 cpu.ready = [(job_key(cpu, j), j) for _, j in cpu.ready]
                 heapq.heapify(cpu.ready)
@@ -327,17 +327,18 @@ def run_sim(
                 dispatch(cpu, now)
 
     def snapshot(now: int) -> SimSnapshot:
-        nd = {}
-        for tid in task_map:
-            t = index[tid]
-            jobs = open_jobs[t]
-            # releases fall at multiples of the period, and those up to now have happened
-            nd[tid] = jobs[0].abs_deadline_us if jobs else (now // period[t] + 1) * period[t] + deadline[t]
+        # a task is next due at its oldest open job's deadline, else at its next
+        # release's: releases fall at multiples of the period, those up to now
+        # have happened, and every open job is running or ready on one CPU
+        nd = [(now // p + 1) * p + d for p, d in zip(period, deadline)]
+        for cpu in cpu_map.values():
+            for job in [j for _, j in cpu.ready] + ([] if cpu.running is None else [cpu.running]):
+                nd[job.task] = min(nd[job.task], job.abs_deadline_us)
         return SimSnapshot(
             now_us=now,
-            assignments=dict(assignments),
-            evicted=frozenset(evicted),
-            next_deadline_us=nd,
+            assignments={tid: where[index[tid]].id for tid in plan},
+            evicted=frozenset(tid for tid, d in zip(ids, demoted) if d),
+            next_deadline_us={tid: nd[index[tid]] for tid in task_map},
             runtimes=runtimes,
         )
 
@@ -366,7 +367,6 @@ def run_sim(
             cpu = where[tie]
             job = Job(tie, cpu, now, now + deadline[tie], demand[tie]())
             append((now, "release", ids[tie], cpu.id))
-            open_jobs[tie].append(job)
             due_us = job.abs_deadline_us
             if due_us <= duration_us:
                 due = dues.get(due_us)
@@ -383,19 +383,11 @@ def run_sim(
 
         elif rank == _R_COMPLETE:
             cpu = obj.cpu
-            if cpu.running is not obj or cpu.seq != seq:
-                continue  # superseded by a preemption
-            obj.executed_us = obj.demand_us
+            if cpu.seq != seq:
+                continue  # superseded: every dispatch, preemption and completion moves seq
             obj.done = True
             append((now, "complete", ids[tie], cpu.id))
             samples[tie].append(now - obj.measure_start_us)
-            jobs = open_jobs[tie]
-            if jobs[0] is obj:
-                del jobs[0]
-            else:
-                # a migrated task can finish a new job on its new CPU while an
-                # old overloaded job still drains on the previous one
-                jobs.remove(obj)
             cpu.running = None
             cpu.seq += 1
             dispatch(cpu, now)

@@ -371,6 +371,26 @@ def test_rejected_run_removes_only_the_out_directories_it_made(tmp_path, capsys)
     assert list((tmp_path / "kept").iterdir()) == []
 
 
+def test_a_task_that_completes_no_job_fails_the_run_and_writes_nothing(tmp_path, capsys):
+    # on one RM CPU, a's every job overruns its period, so b never gets the CPU
+    def constant(us):
+        return {"mu_us": us, "sigma_us": 0, "cutoff_lo_us": us, "wcet_us": us}
+    scenario = {
+        "tasks": [{"id": "a", "period_us": 1_000, "budget_us": 900, "exec_model": constant(1_100)},
+                  {"id": "b", "period_us": 10_000, "budget_us": 90, "exec_model": constant(90)}],
+        "resources": [{"id": "cpu0", "policy": "RM"}],
+        "initial_plan": {"a": "cpu0", "b": "cpu0"},
+        "sim": {"duration_us": 100_000},
+    }
+    path = tmp_path / "starved.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = run_cli(["simulate", "--scenario", str(path), "--out", str(tmp_path / "run")], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: task 'b' completed no jobs\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_output_keys_are_the_pinned_field_names(tmp_path, capsys):
     scenario = str(SCENARIO_DIR / "conveyor.json")
     code, _, _ = run_cli(["simulate", "--scenario", scenario, "--duration-us", "2000000",

@@ -289,26 +289,27 @@ def test_unassigned_task_rejected():
         run_sim({"a": "cpu0"}, tasks, [edf_cpu()], duration_us=200_000)
 
 
-class _Assign:
+class _Update:
     """Hook that hands back the same update at every epoch."""
 
     period_us = 50_000
 
-    def __init__(self, assignments):
-        self.assignments = assignments
+    def __init__(self, update):
+        self.update = update
 
     def __call__(self, snapshot):
-        return PlanUpdate(assignments=self.assignments)
+        return self.update
 
 
-@pytest.mark.parametrize("assignments, message", [
-    ({"ghost": "cpu0"}, "hook assigned unknown task 'ghost'"),
-    ({"a": "cpu9"}, "hook assigned task 'a' to unknown resource 'cpu9'"),
-], ids=["unknown-task", "unknown-resource"])
-def test_hook_update_naming_an_unknown_id_rejected(assignments, message):
+@pytest.mark.parametrize("update, message", [
+    (PlanUpdate({"ghost": "cpu0"}), "hook assigned unknown task 'ghost'"),
+    (PlanUpdate({"a": "cpu9"}), "hook assigned task 'a' to unknown resource 'cpu9'"),
+    (PlanUpdate({}, frozenset({"ghost"})), "hook evicted unknown task 'ghost'"),
+], ids=["unknown-task", "unknown-resource", "unknown-evicted-task"])
+def test_hook_update_naming_an_unknown_id_rejected(update, message):
     task = fixed_task("a", 100_000, 10_000)
     with pytest.raises(ValueError, match=message):
-        run_sim({"a": "cpu0"}, [task], [edf_cpu()], duration_us=200_000, hook=_Assign(assignments))
+        run_sim({"a": "cpu0"}, [task], [edf_cpu()], duration_us=200_000, hook=_Update(update))
 
 
 def test_short_duration_rejected():
@@ -449,6 +450,25 @@ def test_engine_matches_reference_engine(system, seed):
     assert list(trace.per_task_runtimes.items()) == list(expected.per_task_runtimes.items())
     if hook is not None:
         assert hook.seen == expected_hook.seen
+
+
+def test_new_job_completing_before_the_old_one_drains():
+    # m overloads cpu0 and moves to cpu1 at the 1.3 ms epoch: its job released there at 2 ms
+    # completes at 2.5 ms, while its job due at 2 ms drains on cpu0 until 2.8 ms
+    tasks = [fixed_task("hog", 1_000, 900), fixed_task("m", 1_000, 500)]
+    runs = []
+    for engine in (run_sim, run_sim_reference):
+        hook = _ScriptedHook(1_300, [({"m": "cpu1"}, set())])
+        trace = engine({"hog": "cpu0", "m": "cpu0"}, tasks, [edf_cpu("cpu0"), edf_cpu("cpu1")],
+                       duration_us=6_000, hook=hook)
+        runs.append((trace.events, list(trace.per_task_runtimes.items()), hook.seen))
+    assert runs[0] == runs[1]
+    events, _, seen = runs[0]
+    completions = [(e[0], e[3]) for e in events if e[1:3] == ("complete", "m")]
+    assert completions[1:3] == [(2_500, "cpu1"), (2_800, "cpu0")]
+    # the next epoch sees the old job, not the finished new one or the next release
+    now, assignments, _, next_deadline, _ = seen[1]
+    assert (now, assignments["m"], dict(next_deadline)["m"]) == (2_600, "cpu1", 2_000)
 
 
 SAMPLER_CASES = [
