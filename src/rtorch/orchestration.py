@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .admission import GroupLoad, admit, group_loads, runtime_params
+from .admission import GroupLoad, admit, group_loads, load_terms
 from .model import (
     AllocationPlan,
     Criticality,
@@ -90,9 +90,14 @@ class SystemView:
     cooldown: frozenset[str] = frozenset()
 
     @cached_property
+    def terms(self) -> dict[str, tuple[float, float, float]]:
+        """Each task's ``load_terms``, resolved once for every grouping of this view."""
+        return {tid: load_terms(task, self.fits) for tid, task in self.tasks.items()}
+
+    @cached_property
     def loads(self) -> dict[str, GroupLoad]:
         """Each resource's load under the current assignments, built on first use."""
-        return group_loads(self.resources, self.tasks, self.assignments, self.fits, self.evicted)
+        return group_loads(self.resources, self.tasks, self.assignments, self.fits, self.evicted, self.terms)
 
 
 @dataclass(frozen=True)
@@ -103,19 +108,12 @@ class EpochEval:
     breached: bool
 
 
-def group_threshold(tasks: Sequence[TaskSpec], thresholds: Mapping[Criticality, float]) -> float:
-    """Strictest applicable threshold; permissive default for an empty group."""
-    if not tasks:
-        return 1.0
-    return min(thresholds[t.criticality] for t in tasks)
-
-
 def _breaches(loads: Mapping[str, GroupLoad], thresholds: Mapping[Criticality, float]) -> list[EpochEval]:
     """The one breach rule: a resource's miss probability above the strictest threshold it hosts."""
     out = []
     for rid, load in loads.items():
         prob = load.miss_prob()
-        thr = group_threshold(load.tasks, thresholds)
+        thr = load.threshold(thresholds)
         out.append(EpochEval(rid, prob, thr, prob > thr))
     return out
 
@@ -155,21 +153,23 @@ def naive_reallocate(view: SystemView, victim_id: str,
     victim = view.tasks[victim_id]
     host_rid = view.assignments[victim_id]
     host = view.loads[host_rid]
-    trigger = (host_rid, host.miss_prob(), group_threshold(host.tasks, thresholds))
+    trigger = (host_rid, host.miss_prob(), host.threshold(thresholds))
 
     options = []  # (-period match, destination, evicted): the least is best
     for rid, res in view.resources.items():
         if rid == host_rid:
             continue
-        hosted = view.loads[rid].tasks
-        verdict = admit(res, hosted, victim, group_threshold(hosted + [victim], thresholds), view.fits)
+        load = view.loads[rid]
+        hosted = load.tasks
+        verdict = admit(res, hosted, victim, load.threshold(thresholds, victim), view.fits)
         evicted: tuple[str, ...] = ()
         kept = hosted
         if not verdict.admitted and res.criticality.rank > victim.criticality.rank:
             moveable = [t for t in hosted if t.criticality is Criticality.BEST_EFFORT]
             if moveable:
-                kept = [t for t in hosted if t.criticality is not Criticality.BEST_EFFORT]
-                retry = admit(res, kept, victim, group_threshold(kept + [victim], thresholds), view.fits)
+                rest = GroupLoad(res, view.fits, [t for t in hosted if t.criticality is not Criticality.BEST_EFFORT])
+                kept = rest.tasks
+                retry = admit(res, kept, victim, rest.threshold(thresholds, victim), view.fits)
                 if retry.admitted:
                     verdict = retry
                     evicted = tuple(sorted(t.id for t in moveable))
@@ -186,7 +186,7 @@ def naive_reallocate(view: SystemView, victim_id: str,
 def plan_objective(view: SystemView, assignments: Mapping[str, str],
                    thresholds: Mapping[Criticality, float]) -> tuple[int, float, int]:
     """(breached resources, worst miss probability, occupied resources): less is better."""
-    loads = group_loads(view.resources, view.tasks, assignments, view.fits, view.evicted)
+    loads = group_loads(view.resources, view.tasks, assignments, view.fits, view.evicted, view.terms)
     rows = _breaches(loads, thresholds)  # an unoccupied resource neither breaches nor raises the worst
     return (sum(row.breached for row in rows), max((row.miss_prob for row in rows), default=0.0),
             sum(1 for load in loads.values() if load.tasks))
@@ -264,11 +264,10 @@ class _ObjectiveScreen:
         self.cols = np.array([k for k, tid in enumerate(movable) if tid not in view.evicted], dtype=np.intp)
         pinned = [tid for tid in view.assignments if tid not in moving and tid not in view.evicted]
         self.pinned = np.array([index[view.assignments[tid]] for tid in pinned], dtype=np.int64)
-        tasks = [view.tasks[movable[k]] for k in self.cols] + [view.tasks[tid] for tid in pinned]
-        # the terms joint_utilization sums, computed the same way
-        params = [runtime_params(t, view.fits) for t in tasks]
-        self.mu = np.array([p.mu / t.period_us for p, t in zip(params, tasks)])
-        self.var = np.array([(p.sigma / t.period_us) ** 2 for p, t in zip(params, tasks)])
+        ids = [movable[k] for k in self.cols] + pinned
+        tasks = [view.tasks[tid] for tid in ids]
+        terms = np.array([view.terms[tid] for tid in ids]).reshape(-1, 3)
+        self.mu, self.var = terms[:, 1], terms[:, 2]
         # strictest level last, so it overwrites the others where present
         levels = sorted({t.criticality for t in tasks}, key=lambda c: -thresholds[c])
         self.levels = [
@@ -437,8 +436,9 @@ def first_fit_plan(
     assignments: dict[str, str] = {}
     order = sorted(tasks, key=lambda t: (-utilization(t), t.id))
     for task in order:
+        terms = load_terms(task, fits)
         for load in loads:
-            if load.try_add(task, group_threshold(load.tasks + [task], thresholds)):
+            if load.try_add(task, thresholds, terms):
                 assignments[task.id] = load.resource.id
                 break
         else:

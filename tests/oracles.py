@@ -135,9 +135,9 @@ def mc_reallocate_reference(view, thresholds, mc_samples: int, seed: int):
 
 
 def first_fit_reference(tasks, resources, thresholds, fits=None):
-    """First fit that re-derives the whole group for ``admit`` at every (task, CPU) pair."""
+    """First fit that re-derives the whole group and its threshold for ``admit`` at every (task, CPU) pair."""
     from rtorch.admission import admit
-    from rtorch.orchestration import InfeasibleError, group_threshold
+    from rtorch.orchestration import InfeasibleError
 
     placed = {r.id: [] for r in resources}
     assignments: dict[str, str] = {}
@@ -145,7 +145,7 @@ def first_fit_reference(tasks, resources, thresholds, fits=None):
     for task in order:
         for res in resources:
             hosted = placed[res.id]
-            thr = group_threshold(hosted + [task], thresholds)
+            thr = min(thresholds[t.criticality] for t in hosted + [task])
             if admit(res, hosted, task, thr, fits).admitted:
                 hosted.append(task)
                 assignments[task.id] = res.id

@@ -4,14 +4,26 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import rm_bound_exact
-from rtorch.admission import GroupLoad, admit, edf_bound, rm_bound
-from rtorch.model import ExecModel, Policy, ResourceState, TaskSpec
-from rtorch.probability import NormalParams
+from rtorch.admission import GroupLoad, admit, edf_bound, load_terms, rm_bound, runtime_params
+from rtorch.model import Criticality, ExecModel, Policy, ResourceState, TaskSpec
+from rtorch.probability import NormalParams, joint_utilization, miss_probability
 
 
-def make_task(tid, period_us, budget_us, mu_us, sigma_us=0):
+def make_task(tid, period_us, budget_us, mu_us, sigma_us=0, crit=Criticality.HARD):
     model = ExecModel(mu_us=mu_us, sigma_us=sigma_us, cutoff_lo_us=0, wcet_us=period_us)
-    return TaskSpec(id=tid, period_us=period_us, budget_us=budget_us, exec_model=model)
+    return TaskSpec(id=tid, period_us=period_us, budget_us=budget_us, exec_model=model, criticality=crit)
+
+
+def assert_same_as_rebuilt(load, thresholds, threshold):
+    """``load`` answers bit-equal to a group rebuilt from its tasks, and to the sums taken afresh."""
+    rebuilt = GroupLoad(load.resource, load.fits, load.tasks)
+    assert load.reserved() == rebuilt.reserved() == math.fsum(t.budget_us / t.period_us for t in load.tasks)
+    assert load.miss_prob() == rebuilt.miss_prob()
+    assert load.threshold(thresholds) == rebuilt.threshold(thresholds)
+    if load.tasks:
+        models = [(runtime_params(t, load.fits), t.period_us) for t in load.tasks]
+        assert load.miss_prob() == miss_probability(joint_utilization(models), load.resource.u_max)
+        assert load.verdict(threshold) == rebuilt.verdict(threshold)
 
 
 def test_rm_bound_reference_values():
@@ -155,6 +167,44 @@ def test_group_load_verdict_ignores_task_order_and_equals_admit(group, policy, u
     shuffled = data.draw(st.permutations(tasks))
     assert GroupLoad(cpu, fitted, shuffled).verdict(threshold) == expected
     grown = GroupLoad(cpu, fitted, shuffled[:-1])
-    assert grown.try_add(shuffled[-1], threshold) == expected.admitted
+    every_level = dict.fromkeys(Criticality, threshold)
+    assert grown.try_add(shuffled[-1], every_level, load_terms(shuffled[-1], fitted)) == expected.admitted
     assert grown.tasks == (shuffled if expected.admitted else shuffled[:-1])
-    assert len(grown.models) == len(grown.tasks)
+    assert_same_as_rebuilt(grown, every_level, threshold)
+
+
+@st.composite
+def group_histories(draw):
+    """A CPU, thresholds per level, fits for some tasks, and a sequence of (task, add or try_add)."""
+    cpu = ResourceState(id="cpu0", policy=draw(st.sampled_from(list(Policy))),
+                        u_max=draw(st.sampled_from([1.0, 0.9, 0.69])))
+    # distinct per level, so a level left behind by a rejected task changes the group's threshold
+    thresholds = dict(zip(Criticality, draw(st.permutations([1e-4, 1e-2, 0.5]))))
+    fitted = {}
+    steps = []
+    for i in range(draw(st.integers(1, 10))):
+        period = draw(st.sampled_from([10_000, 20_000, 50_000, 100_000]))
+        budget = draw(st.integers(period // 50, period // 2))
+        task = make_task(f"t{i}", period, budget, budget, sigma_us=budget // 10,
+                         crit=draw(st.sampled_from(list(Criticality))))
+        if draw(st.booleans()):
+            mu = budget * draw(st.floats(0.05, 1.5))
+            fitted[task.id] = NormalParams(mu, mu * draw(st.floats(0.0, 0.3)))
+        steps.append((task, draw(st.sampled_from(["add", "try_add", "try_add"]))))
+    return cpu, thresholds, fitted, steps
+
+
+@given(group_histories(), st.floats(1e-6, 1.0))
+def test_group_load_after_adds_and_tries_equals_a_rebuilt_group(history, threshold):
+    cpu, thresholds, fitted, steps = history
+    load = GroupLoad(cpu, fitted)
+    for task, step in steps:
+        if step == "add":
+            load.add(task)
+        else:
+            hosted = list(load.tasks)
+            strictest = min(thresholds[t.criticality] for t in hosted + [task])
+            expected = admit(cpu, hosted, task, strictest, fitted).admitted
+            assert load.try_add(task, thresholds, load_terms(task, fitted)) == expected
+            assert load.tasks == (hosted + [task] if expected else hosted)
+        assert_same_as_rebuilt(load, thresholds, threshold)

@@ -1,12 +1,14 @@
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rtorch import orchestration
+from rtorch import admission, orchestration
+from rtorch.admission import GroupLoad
 from rtorch.model import Criticality, ExecModel, Policy, ResourceState, TaskSpec
 from rtorch.orchestration import (
     COOLDOWN_EPOCHS,
@@ -19,7 +21,6 @@ from rtorch.orchestration import (
     build_plan,
     evaluate_epoch,
     first_fit_plan,
-    group_threshold,
     match_score,
     mc_reallocate,
     naive_reallocate,
@@ -29,8 +30,10 @@ from rtorch.orchestration import (
     window_fits,
 )
 from rtorch.probability import MIN_FIT_SAMPLES, NormalParams, fit_normal, joint_utilization, miss_probability
+from rtorch.scenario import parse_scenario
 from rtorch.simulation import PlanUpdate, run_sim
 
+from conftest import REPO_ROOT
 from oracles import first_fit_reference, fit_normal_reference, mc_reallocate_reference
 
 
@@ -77,10 +80,14 @@ def test_group_threshold_takes_strictest_hosted():
     hard = mk_task("h", 100_000, 10_000)
     soft = mk_task("s", 100_000, 10_000, crit=Criticality.SOFT)
     be = mk_task("e", 100_000, 10_000, crit=Criticality.BEST_EFFORT)
-    assert group_threshold([be], DEFAULT_THRESHOLDS) == 1.0
-    assert group_threshold([be, soft], DEFAULT_THRESHOLDS) == 1e-2
-    assert group_threshold([be, soft, hard], DEFAULT_THRESHOLDS) == 1e-4
-    assert group_threshold([], DEFAULT_THRESHOLDS) == 1.0
+    cpu = mk_cpu("cpu0")
+    assert GroupLoad(cpu, tasks=[be]).threshold(DEFAULT_THRESHOLDS) == 1.0
+    assert GroupLoad(cpu, tasks=[be, soft]).threshold(DEFAULT_THRESHOLDS) == 1e-2
+    assert GroupLoad(cpu, tasks=[be, soft, hard]).threshold(DEFAULT_THRESHOLDS) == 1e-4
+    assert GroupLoad(cpu).threshold(DEFAULT_THRESHOLDS) == 1.0
+    # a candidate counts as hosted
+    assert GroupLoad(cpu, tasks=[be]).threshold(DEFAULT_THRESHOLDS, soft) == 1e-2
+    assert GroupLoad(cpu).threshold(DEFAULT_THRESHOLDS, hard) == 1e-4
 
 
 def test_epoch_evaluation_flags_colocated_cameras():
@@ -508,6 +515,45 @@ def test_first_fit_matches_reference(system):
             return exc.task_id
 
     assert outcome(first_fit_plan) == outcome(first_fit_reference)
+
+
+def perfbench_inputs() -> dict:
+    """The namespace of perfbench/inputs.py, run read-only: no bytecode is written there."""
+    path = REPO_ROOT / "perfbench" / "inputs.py"
+    namespace: dict = {"__name__": "perfbench_inputs"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    return namespace
+
+
+INPUTS = perfbench_inputs()
+BENCH_SYSTEMS = {
+    **{f"placement-{seed}-{n}x{c}": INPUTS["placement_scenario"](seed, n, c)
+       for seed in (1, 2, 3) for n, c in INPUTS["PLACEMENT_SIZES"]},
+    "fault": INPUTS["fault_scenario"](),
+}
+
+
+@pytest.mark.parametrize("name", BENCH_SYSTEMS)
+def test_first_fit_matches_reference_on_benchmark_systems(name):
+    scenario = parse_scenario(BENCH_SYSTEMS[name])
+    args = (scenario.tasks, scenario.resources, scenario.orchestrator.thresholds)
+    plan = first_fit_plan(*args)
+    assert plan == first_fit_reference(*args)
+    assert len(plan) == len(scenario.tasks)
+
+
+def test_first_fit_resolves_each_runtime_model_once(monkeypatch):
+    calls = Counter()
+    resolve = admission.runtime_params
+
+    def counting(task, fits):
+        calls[task.id] += 1
+        return resolve(task, fits)
+
+    monkeypatch.setattr(admission, "runtime_params", counting)
+    scenario = parse_scenario(BENCH_SYSTEMS["placement-1-100x16"])
+    first_fit_plan(scenario.tasks, scenario.resources, scenario.orchestrator.thresholds)
+    assert calls == Counter(t.id for t in scenario.tasks)
 
 
 @settings(max_examples=40, deadline=None)
