@@ -18,7 +18,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .admission import admit
-from .model import Criticality, utilization
+from .model import MAX_US, Criticality, utilization
 from .orchestration import (
     InfeasibleError,
     OrchestratorHook,
@@ -153,8 +153,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.period_us < 1:
-        return _bad_option("--period-us", "positive integer", args.period_us)
+    if not 1 <= args.period_us <= MAX_US:
+        return _bad_option("--period-us", "integer in [1, 2**53]", args.period_us)
     if not (math.isfinite(args.u_max) and args.u_max > 0.0):
         return _bad_option("--u-max", "positive finite number", args.u_max)
     if not 0.0 <= args.threshold <= 1.0:
@@ -171,7 +171,7 @@ def cmd_analyze(args) -> int:
     periods = {tid: args.period_us for tid in samples}
     for override in args.task_period:
         tid, _, value = override.partition("=")
-        if tid not in samples or not value.isdecimal() or int(value) < 1:
+        if tid not in samples or not value.isdecimal() or not 1 <= int(value) <= MAX_US:
             print(f"error: --task-period {override!r}: unknown task or bad period", file=sys.stderr)
             return EXIT_INPUT
         periods[tid] = int(value)

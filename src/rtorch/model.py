@@ -181,6 +181,8 @@ def validate_task(task: TaskSpec) -> list[str]:
 # ValueError("<path>: expected <what>, got <value!r>"); ``where`` is the path of
 # ``data``, and a field's own path is built only when it is rejected.
 _REQUIRED = object()
+# the largest integer a float holds exactly: no float made from a duration this small overflows
+MAX_US = 2 ** 53
 _INT_KINDS = {None: "integer", 0: "non-negative integer", 1: "positive integer"}
 
 
@@ -203,10 +205,12 @@ def read_object(value: Any, where: str) -> dict[str, Any]:
 
 def read_int(data: Mapping[str, Any], key: str, where: str, default: Any = _REQUIRED,
              low: int | None = None) -> int:
-    """An integer of at least ``low``; a float, which ``int()`` would truncate, or a bool is rejected."""
+    """An integer of at least ``low``, of magnitude at most ``MAX_US`` for a ``_us`` key; no float or bool."""
     value = read_field(data, key, where, default)
     if type(value) is int and (low is None or value >= low):
-        return value
+        if abs(value) <= MAX_US or not key.endswith("_us"):
+            return value
+        raise _bad(where, key, "integer of magnitude at most 2**53", value)
     raise _bad(where, key, _INT_KINDS.get(low, f"integer >= {low}"), value)
 
 

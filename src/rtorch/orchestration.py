@@ -34,7 +34,6 @@ from .probability import (
     ULP,
     NormalParams,
     breach_cutoffs,
-    buffer,
     fit_normals,
     tail_bounds,
     tail_z_bounds,
@@ -207,10 +206,10 @@ def mc_reallocate(
     summaries: a caller that prints them calls ``build_plan``.
 
     Samples are drawn and screened in blocks of ``_MC_BLOCK``: a vectorized
-    pass bounds each sample's objective from both sides, and only samples
-    whose lower bound could still beat the best plan so far are scored
-    exactly by ``plan_objective``, in sample order.  The result is the plan
-    a sample-by-sample scan with ``plan_objective`` would keep.
+    pass bounds each sample's objective from below, and only samples whose
+    bound could still beat the best plan so far are scored exactly by
+    ``plan_objective``, in sample order.  The result is the plan a
+    sample-by-sample scan with ``plan_objective`` would keep.
     """
     res_ids = list(view.resources)
     movable = [tid for tid in view.tasks if tid not in view.cooldown]
@@ -224,12 +223,9 @@ def mc_reallocate(
     best_row = np.array([index.get(view.assignments.get(tid), -1) for tid in movable], dtype=np.int64)
     for start in range(0, mc_samples, _MC_BLOCK):
         picks = rng.integers(0, len(res_ids), size=(min(_MC_BLOCK, mc_samples - start), len(movable)))
-        lows, highs = screen.bounds(picks)
-        # no sample whose lower bound exceeds some sample's upper bound is a minimum
-        cap = min(best_obj, *highs)
         scored = {best_row.tobytes()}
-        for i, low in enumerate(lows):
-            if low > cap or low >= best_obj:
+        for i, low in enumerate(screen.bounds(picks)):
+            if low >= best_obj:
                 continue
             row = picks[i]
             key = row.tobytes()
@@ -245,15 +241,15 @@ def mc_reallocate(
 
 
 class _ObjectiveScreen:
-    """Guaranteed bounds on ``plan_objective`` for a block of sampled assignments.
+    """Guaranteed lower bounds on ``plan_objective`` for a block of sampled assignments.
 
     Per (sample, resource) it sums utilization mean and variance and counts
     hosted tasks and criticality levels with ``np.bincount``.  Those sums are
     not ``fsum``-exact: each carries the rounding-error bound of a recursive
     sum of its terms into ``tail_z_bounds``.  The screen then stays in z
-    space: a cell breaches when its z is below its threshold's cutoff, and
-    since the tail falls as z grows, a sample's worst miss probability is one
-    tail, at its smallest z.
+    space: a cell surely breaches when its z is below its threshold's cutoff,
+    and since the tail falls as z grows, a sample's worst miss probability is
+    at least one tail, at its smallest z.
     """
 
     def __init__(self, view: SystemView, thresholds: Mapping[Criticality, float],
@@ -276,8 +272,8 @@ class _ObjectiveScreen:
         ]
         self.u_max = np.array([view.resources[rid].u_max for rid in res_ids])
 
-    def bounds(self, picks: np.ndarray) -> tuple[list[tuple], list[tuple]]:
-        """Lower and upper (breached, worst, occupied) bounds, one pair per row of ``picks``."""
+    def bounds(self, picks: np.ndarray) -> list[tuple]:
+        """Lower (breached, worst, occupied) bound of each row of ``picks``."""
         n, n_res = len(picks), len(self.u_max)
         pinned = np.broadcast_to(self.pinned, (n, len(self.pinned)))
         cells = np.concatenate([picks[:, self.cols], pinned], axis=1)
@@ -295,20 +291,15 @@ class _ObjectiveScreen:
         slack = (count + 4) * ULP
         mu_err = slack * per_cell(weights=np.abs(self.mu))
         var_err = slack * var
-        # unoccupied cells keep -inf cutoffs and never count as breached
+        # unoccupied cells keep a -inf cutoff and never count as breached
         sure = np.full((n, n_res), -np.inf)
-        clear = np.full((n, n_res), -np.inf)
         for value, columns in self.levels:
-            hosted = per_cell(columns) > 0
-            sure[hosted], clear[hosted] = breach_cutoffs(value)
+            sure[per_cell(columns) > 0] = breach_cutoffs(value)
 
         # an unoccupied cell's zero load fits, so its z is +inf and its tail 0
-        z_lo, z_hi = tail_z_bounds(mu, mu_err, var, var_err, self.u_max)
-        worst_lo, worst_hi = tail_bounds(z_lo.min(axis=1), z_hi.min(axis=1))
-        n_occupied = (count > 0).sum(axis=1).tolist()
-        lows = list(zip((z_hi < sure).sum(axis=1).tolist(), worst_lo.tolist(), n_occupied))
-        highs = list(zip((z_lo < clear).sum(axis=1).tolist(), worst_hi.tolist(), n_occupied))
-        return lows, highs
+        z_hi = tail_z_bounds(mu, mu_err, var, var_err, self.u_max)
+        worst = tail_bounds(z_hi.min(axis=1))
+        return list(zip((z_hi < sure).sum(axis=1).tolist(), worst.tolist(), (count > 0).sum(axis=1).tolist()))
 
 
 def build_plan(
@@ -320,7 +311,7 @@ def build_plan(
 ) -> AllocationPlan:
     """Assemble an AllocationPlan, computing fresh per-resource load summaries."""
     per_resource = {
-        rid: ResourceLoad(buffer=buffer(load.tasks), miss_prob=load.miss_prob())
+        rid: ResourceLoad(buffer=1.0 - load.reserved(), miss_prob=load.miss_prob())
         for rid, load in group_loads(resources, tasks, assignments, fits, evicted).items()
     }
     return AllocationPlan(assignments=dict(assignments), per_resource=per_resource)

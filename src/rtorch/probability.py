@@ -73,29 +73,23 @@ def miss_probability(joint: NormalParams, u_max: float) -> float:
 
 def tail_z_bounds(
     mu: np.ndarray, mu_err: np.ndarray, var: np.ndarray, var_err: np.ndarray, u_max: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise bounds on the z that ``miss_probability`` computes for many groups.
+) -> np.ndarray:
+    """Elementwise upper bound on the z that ``miss_probability`` computes for many groups.
 
     ``mu`` and ``var`` approximate each group's utilization mean and variance
     to within ``mu_err`` and ``var_err`` of the sums ``joint_utilization``
-    returns.  The bounds hold for every mean and variance in those ranges and
-    allow for rounding in the square root and quotient.  A group with
-    variance exactly 0 has no z: it gets -inf where its load exceeds u_max,
-    +inf where it fits and [-inf, +inf] when its mean is within error of
-    u_max, so the tail at either end is its 1 or 0.
+    returns.  The bound holds for every mean and variance in those ranges and
+    allows for rounding in the square root and quotient.  A group with
+    variance exactly 0 has no z: it gets -inf where its load surely exceeds
+    u_max and +inf otherwise, so the tail there is its 1 or at least 0.
     """
     det = var == 0.0
     s_lo = np.where(det, 1.0, np.sqrt(var - var_err) * (1.0 - 8 * ULP))
     s_hi = np.where(det, 1.0, np.sqrt(var + var_err) * (1.0 + 8 * ULP))
-    gap_lo = u_max - (mu + mu_err)
-    gap_hi = u_max - (mu - mu_err)
-    z_lo = np.minimum(gap_lo / s_lo, gap_lo / s_hi)
-    z_hi = np.maximum(gap_hi / s_lo, gap_hi / s_hi)
-    z_lo -= 8 * ULP * np.abs(z_lo)
+    gap = u_max - (mu - mu_err)
+    z_hi = np.maximum(gap / s_lo, gap / s_hi)
     z_hi += 8 * ULP * np.abs(z_hi)
-    z_lo = np.where(det, np.where(gap_lo < 0.0, -np.inf, np.inf), z_lo)
-    z_hi = np.where(det, np.where(gap_hi < 0.0, -np.inf, np.inf), z_hi)
-    return z_lo, z_hi
+    return np.where(det, np.where(gap < 0.0, -np.inf, np.inf), z_hi)
 
 
 def _erfc(x: np.ndarray) -> np.ndarray:
@@ -104,55 +98,40 @@ def _erfc(x: np.ndarray) -> np.ndarray:
 
 
 def _widen(tail):
-    """Bounds on the computed tail anywhere past the z it was taken at: (for z' <= z, for z' >= z)."""
-    return (np.maximum(tail * (1.0 - _TAIL_REL) - _TAIL_ABS, 0.0),
-            np.minimum(tail * (1.0 + _TAIL_REL) + _TAIL_ABS, 1.0))
+    """Lower bound on the computed tail anywhere at or before the z it was taken at."""
+    return np.maximum(tail * (1.0 - _TAIL_REL) - _TAIL_ABS, 0.0)
 
 
-def tail_bounds(z_lo: np.ndarray, z_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise bounds on ``miss_probability``'s tail at every z in [z_lo, z_hi].
+def tail_bounds(z_hi: np.ndarray) -> np.ndarray:
+    """Elementwise lower bound on ``miss_probability``'s tail at every z <= z_hi.
 
-    The tail falls as z grows, so the bounds are the tails at ``z_hi`` and
-    ``z_lo``, widened for rounding; -inf and +inf give exactly 1 and 0.
-    ``erfc`` runs once per distinct end point: samples often repeat a group.
+    The tail falls as z grows, so the bound is the tail at ``z_hi``, widened
+    for rounding; -inf and +inf give exactly 1 and 0.  ``erfc`` runs once per
+    distinct end point: samples often repeat a group.
     """
-    n = z_hi.size
-    distinct, index = np.unique(np.concatenate([z_hi, z_lo]), return_inverse=True)
-    lo, hi = _widen((0.5 * _erfc(distinct / _SQRT2))[index])
-    return np.where(z_hi == -np.inf, 1.0, lo[:n]), np.where(z_lo == np.inf, 0.0, hi[n:])
+    distinct, index = np.unique(z_hi, return_inverse=True)
+    return np.where(z_hi == -np.inf, 1.0, _widen(0.5 * _erfc(distinct / _SQRT2))[index])
 
 
 @functools.lru_cache(maxsize=256)
-def breach_cutoffs(threshold: float) -> tuple[float, float]:
-    """z cutoffs ``(sure, clear)`` for ``miss_probability(...) > threshold``.
+def breach_cutoffs(threshold: float) -> float:
+    """z cutoff ``sure`` for ``miss_probability(...) > threshold``: every group whose z is below it breaches.
 
-    Every group whose z is below ``sure`` breaches the threshold, and no
-    group whose z is at least ``clear`` does.  A probability never exceeds
-    1, so a threshold of 1 or more gets -inf for both.
+    The widened tail falls as z grows, so bisection finds the last z at which
+    it still exceeds the threshold.  Below -_Z_SPAN the tail is constant, so a
+    threshold it does not exceed there (any of 1 or more) gets -inf.
     """
-    if threshold >= 1.0:
-        return -math.inf, -math.inf
-    sure = _last_true(lambda z: _widen(0.5 * math.erfc(z / _SQRT2))[0] > threshold)[0]
-    clear = _last_true(lambda z: _widen(0.5 * math.erfc(z / _SQRT2))[1] > threshold)[1]
-    return sure, clear
+    def breaches(z: float) -> bool:
+        return _widen(0.5 * math.erfc(z / _SQRT2)) > threshold
 
-
-def _last_true(pred) -> tuple[float, float]:
-    """Adjacent ``(a, b)`` with ``pred(a)`` true and ``pred(b)`` false, by bisection.
-
-    Beyond +-_Z_SPAN the tail is constant, so a predicate false at -_Z_SPAN
-    gives ``a`` = -inf and one true at +_Z_SPAN gives ``b`` = +inf.
-    """
     a, b = -_Z_SPAN, _Z_SPAN
-    if not pred(a):
-        return -math.inf, a
-    if pred(b):
-        return b, math.inf
+    if not breaches(a):
+        return -math.inf
     while True:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
-            return a, b
-        if pred(mid):
+            return a
+        if breaches(mid):
             a = mid
         else:
             b = mid

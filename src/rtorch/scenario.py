@@ -38,7 +38,8 @@ Ids must be non-empty and hold no comma, double quote, whitespace or control
 character, so they survive a CSV row.  Ranges: ``u_max`` in (0, 1], thresholds
 in [0, 1], ``fit_window`` at least ``MIN_FIT_SAMPLES`` (30), ``cutoff_lo_us`` and
 jitter ``sigma_us`` >= 0, interference rate and magnitude positive with
-``rate_per_s * magnitude_us`` at most 1e6, and ``model.validate_task``.
+``rate_per_s * magnitude_us`` at most 1e6, and ``model.validate_task``.  Every ``_us``
+value, the jitter's too, is at most 2**53 in magnitude, so no float made from one overflows.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .model import (Criticality, ResourceState, TaskSpec, read_array, read_bool, read_enum, read_int,
+from .model import (MAX_US, Criticality, ResourceState, TaskSpec, read_array, read_bool, read_enum, read_int,
                     read_number, read_object, validate_task)
 from .orchestration import OrchestratorConfig, Strategy
 from .probability import MIN_FIT_SAMPLES, NormalParams
@@ -83,9 +84,10 @@ def _parse_noise(data: Any, where: str) -> NoiseModel:
     if jitter is not None:
         at = f"{where}.latency_jitter"
         read_object(jitter, at)
-        jitter_params = NormalParams(read_number(jitter, "mu_us", at),
-                                     read_number(jitter, "sigma_us", at, ok=lambda v: 0.0 <= v < math.inf,
-                                                 what="non-negative finite number"))
+        jitter_params = NormalParams(read_number(jitter, "mu_us", at, ok=lambda v: abs(v) <= MAX_US,
+                                                 what="number of magnitude at most 2**53"),
+                                     read_number(jitter, "sigma_us", at, ok=lambda v: 0.0 <= v <= MAX_US,
+                                                 what="number in [0, 2**53]"))
     ifr = data.get("interference")
     interference = None
     if ifr is not None:

@@ -36,7 +36,7 @@ from typing import Iterator, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .model import ExecModel, Policy, ResourceState, TaskSpec
+from .model import MAX_US, ExecModel, Policy, ResourceState, TaskSpec
 from .probability import NormalParams
 
 _R_RELEASE = 0
@@ -462,6 +462,8 @@ def read_runtimes_csv(path) -> dict[str, list[int]]:
             runtime = int(value)  # also rejects a missing or a third field: "1,2" is no integer
         except ValueError as exc:
             raise ValueError(f"line {lineno}: malformed row {line!r}") from exc
+        if abs(runtime) > MAX_US:
+            raise ValueError(f"line {lineno}: runtime_us of magnitude past 2**53")
         if row_task != task:
             task = row_task
             samples = out.setdefault(task, [])

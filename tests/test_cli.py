@@ -284,6 +284,14 @@ def test_plan_monte_carlo_starts_from_all_on_first_cpu_when_first_fit_gets_stuck
     assert plan["per_resource"]["cpu1"] == {"buffer": 1.0, "miss_prob": 0.0}
 
 
+def test_analyze_rejects_a_400_digit_runtime(tmp_path, capsys):
+    path = tmp_path / "runtimes.csv"
+    path.write_text(CAMERA_RUNTIMES.read_text() + f"cam_x,{10**399}\n")
+    code, out, err = run_cli(["analyze", str(path), "--period-us", "125000"], capsys)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}: line ") and "2**53" in err
+
+
 def test_analyze_rejects_a_header_only_csv(tmp_path, capsys):
     path = tmp_path / "empty.csv"
     path.write_text("task,runtime_us\n")
@@ -323,6 +331,10 @@ ANALYZE = ["analyze", str(CAMERA_RUNTIMES), "--period-us", "125000"]
     pytest.param(["analyze", str(CAMERA_RUNTIMES), "--period-us", "0"], "--period-us", id="period-0"),
     pytest.param(["analyze", str(CAMERA_RUNTIMES), "--period-us", "-5"], "--period-us", id="period-neg"),
     pytest.param(ANALYZE + ["--task-period", "cam_y=0"], "--task-period", id="task-period-0"),
+    # past 2**53 a period no longer converts to a finite float
+    pytest.param(["analyze", str(CAMERA_RUNTIMES), "--period-us", str(10**399)], "--period-us",
+                 id="period-400-digits"),
+    pytest.param(ANALYZE + ["--task-period", f"cam_y={10**399}"], "--task-period", id="task-period-400-digits"),
     pytest.param(ANALYZE + ["--u-max", "0"], "--u-max", id="u-max-0"),
     pytest.param(ANALYZE + ["--u-max", "-1"], "--u-max", id="u-max-neg"),
     pytest.param(ANALYZE + ["--u-max", "inf"], "--u-max", id="u-max-inf"),
@@ -470,6 +482,10 @@ def _set(path, value):
                  "sim.noise.latency_jitter.sigma_us", id="jitter-sigma-nan"),
     pytest.param(_set(["sim", "noise", "latency_jitter", "mu_us"], -math.inf),
                  "sim.noise.latency_jitter.mu_us", id="jitter-mu-neg-inf"),
+    # past 2**53 a duration's float conversions overflow: admission's mu / period, the jitter draw
+    pytest.param(_set(["tasks", 0, "period_us"], 10**401), "tasks[0].period_us", id="period-400-digits"),
+    pytest.param(_set(["sim", "noise", "latency_jitter", "sigma_us"], 1e308),
+                 "sim.noise.latency_jitter.sigma_us", id="jitter-sigma-1e308"),
     pytest.param(_set(["sim", "noise", "interference", "rate_per_s"], math.inf),
                  "sim.noise.interference.rate_per_s", id="interference-rate-inf"),
     pytest.param(_set(["sim", "noise", "interference", "rate_per_s"], math.nan),
@@ -594,7 +610,7 @@ def _scenarios(draw):
                       "budget_us": draw(st.integers(1, deadline)), "exec_model": model,
                       "criticality": draw(st.sampled_from(["hard", "soft", "best_effort"]))})
     jitter = draw(st.one_of(st.none(), st.fixed_dictionaries({
-        "mu_us": st.floats(-100, 100), "sigma_us": st.sampled_from([0.0, 20.0, 1e300])})))
+        "mu_us": st.floats(-100, 100), "sigma_us": st.sampled_from([0.0, 20.0, 2.0**53, 1e300])})))
     interference = None
     if draw(st.booleans()):
         magnitude = draw(st.sampled_from([1, 10, 300, 2_000]))

@@ -237,29 +237,26 @@ def test_tail_z_bounds_contain_the_exact_tail(models, u_max, on_boundary):
     if on_boundary:
         u_max = mu
     slack = (len(models) + 4) * ULP
-    z_lo, z_hi = tail_z_bounds(np.array([mu]), np.array([slack * math.fsum(mu_terms)]),
-                               np.array([var]), np.array([slack * var]), np.array([u_max]))
+    z_hi = tail_z_bounds(np.array([mu]), np.array([slack * math.fsum(mu_terms)]),
+                         np.array([var]), np.array([slack * var]), np.array([u_max]))
     joint = joint_utilization(models)
     exact = miss_probability(joint, u_max)
     if joint.sigma > 0.0:
-        assert z_lo[0] <= (u_max - joint.mu) / joint.sigma <= z_hi[0]
-    lo, hi = tail_bounds(z_lo, z_hi)
-    assert lo[0] <= exact <= hi[0]
+        assert (u_max - joint.mu) / joint.sigma <= z_hi[0]
+    assert tail_bounds(z_hi)[0] <= exact
 
 
 def test_tail_bounds_are_exact_at_infinite_z():
-    lo, hi = tail_bounds(np.array([-np.inf, np.inf, -np.inf]), np.array([-np.inf, np.inf, np.inf]))
-    assert lo.tolist() == [1.0, 0.0, 0.0]
-    assert hi.tolist() == [1.0, 0.0, 1.0]
+    assert tail_bounds(np.array([-np.inf, np.inf])).tolist() == [1.0, 0.0]
 
 
 def test_tail_bounds_take_one_tail_per_distinct_end(monkeypatch):
     calls = []
     erfc = math.erfc
     monkeypatch.setattr(math, "erfc", lambda x: calls.append(x) or erfc(x))
-    lo, hi = tail_bounds(np.array([1.0, 1.0, 2.0, 1.0]), np.array([2.0, 2.0, 3.0, 2.0]))
+    lo = tail_bounds(np.array([1.0, 1.0, 2.0, 1.0, 3.0]))
     assert len(calls) == 3
-    assert lo.tolist() == [lo[0], lo[0], lo[2], lo[0]] and lo[2] < lo[0] < hi[2] < hi[0]
+    assert lo.tolist() == [lo[0], lo[0], lo[2], lo[0], lo[4]] and lo[4] < lo[2] < lo[0]
 
 
 def phi_quantile_bisect(p: float) -> float:
@@ -276,21 +273,17 @@ def phi_quantile_bisect(p: float) -> float:
 
 @pytest.mark.parametrize("threshold", [0.0, 1e-300, 1e-12, 1e-4, 1e-2, 0.05, 0.5, 0.9999995, 1.0])
 def test_breach_cutoffs_separate_breaches_from_clear_groups(threshold):
-    sure, clear = breach_cutoffs(threshold)
-    assert sure <= clear
+    sure = breach_cutoffs(threshold)
     if threshold >= 1.0:
-        assert (sure, clear) == (-math.inf, -math.inf)
+        assert sure == -math.inf
         return
     if math.isfinite(sure):
         for z in (sure, math.nextafter(sure, -math.inf), sure - 1e-9, sure - 1.0):
             assert miss_probability(NormalParams(-z, 1.0), 0.0) > threshold
-    if math.isfinite(clear):
-        for z in (clear, math.nextafter(clear, math.inf), clear + 1e-9, clear + 1.0):
-            assert miss_probability(NormalParams(-z, 1.0), 0.0) <= threshold
-    # the cutoffs sit where the tail crosses the threshold, not somewhere safe but loose
+    # the cutoff sits where the tail crosses the threshold, not somewhere safe but loose
     if 1e-290 < threshold < 0.999:
         crossing = -phi_quantile_bisect(threshold)
-        assert crossing - 1e-5 < sure <= clear < crossing + 1e-5
+        assert crossing - 1e-5 < sure < crossing + 1e-5
 
 
 def test_breach_cutoffs_are_cached():

@@ -10,6 +10,7 @@ from hypothesis import assume, given, strategies as st
 
 from rtorch.model import Criticality, Policy
 from rtorch.orchestration import Strategy
+from rtorch.probability import NormalParams
 from rtorch.scenario import ScenarioError, load_scenario, parse_scenario
 from rtorch.simulation import SimTrace, read_runtimes_csv, write_runtimes_csv
 
@@ -192,6 +193,49 @@ def test_fractional_period_rejected_not_truncated():
     data["tasks"][0]["period_us"] = 125_000.5
     with pytest.raises(ScenarioError, match=r"tasks\[0\]\.period_us: expected integer, got 125000\.5"):
         parse_scenario(data)
+
+
+def test_every_integer_duration_is_bounded_by_2_53_in_magnitude():
+    data = deep(BASE)
+    task = data["tasks"][0]
+    task.update(period_us=2**53, budget_us=2**52)
+    task["exec_model"].update(mu_us=2**52, wcet_us=2**53)
+    data["tasks"][1]["exec_model"]["mixture"] = [{"weight": 0.5, "offset_us": -(2**53)}]
+    parsed = parse_scenario(data)
+    assert (parsed.tasks[0].period_us, parsed.tasks[1].exec_model.mixture[0].offset_us) == (2**53, -(2**53))
+    for field, value in [("tasks[0].period_us", 10**401), ("tasks[0].exec_model.wcet_us", 2**53 + 1),
+                         ("tasks[1].exec_model.mixture[0].offset_us", -(2**53) - 1),
+                         ("sim.noise.base_overhead_us", 2**53 + 1)]:
+        bad = json.loads(json.dumps(data))
+        target = bad
+        *parents, last = re.findall(r"\w+", field)
+        for key in parents:
+            target = target[int(key) if key.isdigit() else key]
+        target[last] = value
+        with pytest.raises(ScenarioError, match=re.escape(f"{field}: expected integer of magnitude at most 2**53")):
+            parse_scenario(bad)
+
+
+def test_a_jitter_past_2_53_is_rejected():
+    """A jitter sigma of 1e308 overflowed the demand draw to infinity; 2**53 is the largest accepted."""
+    data = deep(BASE)
+    jitter = data["sim"]["noise"]["latency_jitter"]
+    jitter.update(mu_us=-(2.0**53), sigma_us=2.0**53)
+    assert parse_scenario(data).sim.noise.latency_jitter == NormalParams(-(2.0**53), 2.0**53)
+    for key, value in [("sigma_us", 1e308), ("sigma_us", math.nextafter(2.0**53, math.inf)), ("mu_us", -1e308)]:
+        bad = json.loads(json.dumps(data))
+        bad["sim"]["noise"]["latency_jitter"][key] = value
+        with pytest.raises(ScenarioError, match=rf"sim\.noise\.latency_jitter\.{key}: expected"):
+            parse_scenario(bad)
+
+
+def test_a_runtime_past_2_53_is_rejected(tmp_path):
+    path = tmp_path / "runtimes.csv"
+    path.write_text(f"task,runtime_us\na,{2**53}\na,{-(2**53)}\n")
+    assert read_runtimes_csv(path) == {"a": [2**53, -(2**53)]}
+    path.write_text(f"task,runtime_us\na,5\na,{10**399}\n")
+    with pytest.raises(ValueError, match="line 3: runtime_us of magnitude past 2\\*\\*53"):
+        read_runtimes_csv(path)
 
 
 def test_malformed_json_reports_position(tmp_path):
