@@ -9,6 +9,7 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -55,6 +56,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rtorch", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -171,7 +173,9 @@ def cmd_analyze(args) -> int:
     periods = {tid: args.period_us for tid in samples}
     for override in args.task_period:
         tid, _, value = override.partition("=")
-        if tid not in samples or not value.isdecimal() or not 1 <= int(value) <= MAX_US:
+        # a value longer than MAX_US is out of range, and int() refuses past 4,300 digits
+        if (tid not in samples or not value.isdecimal() or len(value) > len(str(MAX_US))
+                or not 1 <= int(value) <= MAX_US):
             print(f"error: --task-period {override!r}: unknown task or bad period", file=sys.stderr)
             return EXIT_INPUT
         periods[tid] = int(value)

@@ -44,13 +44,11 @@ class RunReport:
 def _bin_runtimes(samples: Sequence[int], bin_width: int) -> list[tuple[int, int, int]]:
     lo0 = (min(samples) // bin_width) * bin_width
     n_bins = (max(samples) - lo0) // bin_width + 1
-    counts = [0] * n_bins
-    for r in samples:
-        counts[(r - lo0) // bin_width] += 1
-    return [
-        (lo0 + i * bin_width, lo0 + (i + 1) * bin_width, c)
-        for i, c in enumerate(counts)
-    ]
+    if n_bins == 1:  # also keeps a bin width past int64 out of NumPy
+        return [(lo0, lo0 + bin_width, len(samples))]
+    counts = np.bincount((np.asarray(samples) - lo0) // bin_width).tolist()
+    return list(zip(range(lo0, lo0 + n_bins * bin_width, bin_width),
+                    range(lo0 + bin_width, lo0 + (n_bins + 1) * bin_width, bin_width), counts))
 
 
 def build_report(trace: SimTrace, bin_width_us: int = 10) -> RunReport:
@@ -96,8 +94,8 @@ def export_histogram(report: RunReport, path) -> None:
         fh.write("task,bin_lo_us,bin_hi_us,rel_count\n")
         for tid, bins in report.histogram.items():
             total = report.per_task[tid].count
-            for lo, hi, count in bins:
-                fh.write(f"{tid},{lo},{hi},{count / total!r}\n")
+            rel = {count: repr(count / total) for count in {count for _, _, count in bins}}
+            fh.write("".join([f"{tid},{lo},{hi},{rel[count]}\n" for lo, hi, count in bins]))
 
 
 # one histogram bin as json.dump(indent=2) lays it out, three levels down

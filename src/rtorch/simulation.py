@@ -11,13 +11,15 @@ rank in sorted-id order and j.  Events are processed in a total order:
 with kind ranks release < interference-end < complete < deadline-check <
 interference-start < monitor-epoch.  The engine dispatches on the rank alone;
 task and CPU ids enter the heap as their index in sorted-id order, which
-orders ties exactly as the id strings do.  Deadline checks are one heap event
-per distinct deadline time: it checks the jobs due then in task order, the
-order per-job events would have popped in, since no deadline check schedules
-anything.  Within a CPU the dispatcher picks the ready job with the smallest
-(evicted?, deadline-or-period, task id, release) key, so EDF/RM ties resolve
-by task id and a running job is preempted exactly when a strictly smaller key
-becomes ready.
+orders ties exactly as the id strings do.  Releases are one heap event per
+distinct release time: it releases the tasks due then in task order, the order
+per-task events would have popped in, since nothing a release schedules at its
+own instant pops before another release.  Deadline checks are one heap event
+per distinct deadline time too: it checks the jobs due then in task order,
+since no deadline check schedules anything.  Within a CPU the dispatcher picks
+the ready job with the smallest (evicted?, deadline-or-period, task id,
+release) key, so EDF/RM ties resolve by task id and a running job is preempted
+exactly when a strictly smaller key becomes ready.
 
 A job's recorded runtime is completion minus first dispatch: queueing before
 the first dispatch does not count, but preemptions after it (including
@@ -25,14 +27,19 @@ interference, which models higher-priority interrupts stealing the CPU from
 every task) stretch the measurement.  Jobs that miss their deadline keep
 running to completion; the miss is still recorded the moment the deadline
 passes with work outstanding.
+
+The trace is two ``array('q')`` columns, 16 bytes an event: the times, and one
+code per event packing its kind, task and CPU (see ``SimTrace``).
 """
 from __future__ import annotations
 
 import heapq
 import itertools
+from array import array
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterator, Mapping, Optional, Protocol, Sequence
+from operator import attrgetter, eq
+from typing import Optional, Protocol
 
 import numpy as np
 
@@ -45,6 +52,10 @@ _R_COMPLETE = 2
 _R_DEADLINE = 3
 _R_IFR_START = 4
 _R_MONITOR = 5
+
+# the event kinds a trace records, indexed by the low 3 bits of an event code
+_KINDS = ("release", "start", "resume", "preempt", "complete", "deadline_miss", "migrate")
+_K_RELEASE, _K_START, _K_RESUME, _K_PREEMPT, _K_COMPLETE, _K_MISS, _K_MIGRATE = range(len(_KINDS))
 
 
 @dataclass(frozen=True)
@@ -76,12 +87,13 @@ ZERO_NOISE = NoiseModel()
 class Job:
     """One released instance of a task, bound to the CPU it was released on."""
 
-    __slots__ = ("task", "cpu", "release_us", "abs_deadline_us", "demand_us",
+    __slots__ = ("task", "cpu", "code", "release_us", "abs_deadline_us", "demand_us",
                  "executed_us", "measure_start_us", "done")
 
-    def __init__(self, task: int, cpu: "_Cpu", release_us: int, abs_deadline_us: int, demand_us: int):
+    def __init__(self, task: int, cpu: "_Cpu", code: int, release_us: int, abs_deadline_us: int, demand_us: int):
         self.task = task  # interned task index
         self.cpu = cpu
+        self.code = code  # the code of this job's events, kind 0
         self.release_us = release_us
         self.abs_deadline_us = abs_deadline_us
         self.demand_us = demand_us
@@ -95,17 +107,83 @@ _task_rank = attrgetter("task")
 
 @dataclass
 class SimTrace:
-    """Everything a run produced: ordered events plus per-job measured runtimes."""
+    """Everything a run produced: ordered events plus per-job measured runtimes.
 
-    events: list[tuple[int, str, str, str]]
+    Event i happened at ``times[i]``.  ``codes[i]`` is
+    ``(task << len(cpu_ids).bit_length() | cpu) << 3 | kind``, with ``task`` an
+    index into ``task_ids``, ``cpu`` into ``cpu_ids`` and ``kind`` into
+    ``_KINDS``.  ``events`` decodes the columns as ``(time_us, kind, task,
+    resource)`` tuples.
+    """
+
     per_task_runtimes: dict[str, list[int]]
+    times: array
+    codes: array
+    task_ids: tuple[str, ...]
+    cpu_ids: tuple[str, ...]
+
+    @property
+    def events(self) -> Sequence[tuple[int, str, str, str]]:
+        return _Events(self)
+
+    def _label(self, code: int) -> tuple[str, str, str]:
+        """The ``(kind, task, resource)`` an event code stands for."""
+        shift = len(self.cpu_ids).bit_length()
+        task, cpu = code >> (3 + shift), (code >> 3) & ((1 << shift) - 1)
+        return _KINDS[code & 7], self.task_ids[task], self.cpu_ids[cpu]
 
     def miss_counts(self) -> dict[str, int]:
-        counts = {task: 0 for task in self.per_task_runtimes}
-        for _, kind, task, _ in self.events:
-            if kind == "deadline_miss":
-                counts[task] += 1
+        counts = dict.fromkeys(self.per_task_runtimes, 0)
+        codes = np.asarray(self.codes)
+        missed = np.bincount(codes[(codes & 7) == _K_MISS] >> (3 + len(self.cpu_ids).bit_length()),
+                             minlength=len(self.task_ids))
+        for task, n in zip(self.task_ids, missed.tolist()):
+            if n:
+                counts[task] += n
         return counts
+
+
+class _Labels(dict):
+    """Event code -> ``form(kind, task, resource)``, worked out at the code's first lookup."""
+
+    def __init__(self, trace: SimTrace, form: Callable[[str, str, str], object]):
+        super().__init__()
+        self.trace, self.form = trace, form
+
+    def __missing__(self, code: int):
+        value = self[code] = self.form(*self.trace._label(code))
+        return value
+
+
+class _Events(Sequence):
+    """Read-only view of a trace's events as ``(time_us, kind, task, resource)`` tuples."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: SimTrace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.times)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        trace = self._trace
+        return (trace.times[i], *trace._label(trace.codes[i]))
+
+    def __iter__(self) -> Iterator[tuple[int, str, str, str]]:
+        labels = _Labels(self._trace, lambda *label: label)
+        return ((time, *labels[code]) for time, code in zip(self._trace.times, self._trace.codes))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Events):
+            a, b = self._trace, other._trace
+            if a.task_ids == b.task_ids and a.cpu_ids == b.cpu_ids:
+                return a.times == b.times and a.codes == b.codes
+        elif not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
 
 
 @dataclass(frozen=True)
@@ -186,11 +264,13 @@ def demand_stream(model: ExecModel, noise: NoiseModel, seed: np.random.SeedSeque
 
 
 class _Cpu:
-    __slots__ = ("index", "id", "rm", "ready", "running", "running_key", "run_since", "seq", "blocked_until")
+    __slots__ = ("index", "id", "code", "rm", "ready", "running", "running_key", "run_since", "seq",
+                 "blocked_until")
 
     def __init__(self, index: int, spec: ResourceState):
         self.index = index  # interned id: the heap tie of this CPU's interference events
         self.id = spec.id
+        self.code = index << 3  # this CPU's part of an event code
         self.rm = spec.policy is Policy.RM
         self.ready: list[tuple[tuple, Job]] = []
         self.running: Job | None = None
@@ -253,13 +333,17 @@ def run_sim(
     runtimes: dict[str, list[int]] = {t.id: [] for t in tasks}
     samples = [runtimes[tid] for tid in ids]
 
-    events: list[tuple[int, str, str, str]] = []
-    append = events.append
+    # the trace columns: each event appends its time and its code (see SimTrace)
+    times, codes = array("q"), array("q")
+    stamp, record = times.append, codes.append
+    task_code = [t << (3 + len(cpu_rank).bit_length()) for t in range(len(ids))]
     # (time, kind rank, interned id, insertion counter, job or CPU, dispatch seq)
     heap: list[tuple] = []
     heappush, heappop = heapq.heappush, heapq.heappop
     counter = itertools.count()
-    # deadline time -> the jobs due then; one heap event checks them all
+    # release time -> the tasks due then, and deadline time -> the jobs due then;
+    # one heap event handles each list
+    releases: dict[int, list[int]] = {0: list(range(len(ids)))}
     dues: dict[int, list[Job]] = {}
 
     def job_key(cpu: _Cpu, job: Job) -> tuple:
@@ -270,7 +354,8 @@ def run_sim(
         """Return the running job to the ready queue, keeping the time it executed."""
         run = cpu.running
         run.executed_us += now - cpu.run_since
-        append((now, "preempt", ids[run.task], cpu.id))
+        stamp(now)
+        record(run.code + _K_PREEMPT)
         heappush(cpu.ready, (cpu.running_key, run))  # apply_update keeps running_key current
         cpu.running = None
         cpu.seq += 1
@@ -294,7 +379,8 @@ def run_sim(
         cpu.running_key = key
         cpu.run_since = now
         cpu.seq = seq = cpu.seq + 1
-        append((now, "start" if job.measure_start_us < 0 else "resume", ids[job.task], cpu.id))
+        stamp(now)
+        record(job.code + (_K_START if job.measure_start_us < 0 else _K_RESUME))
         if job.executed_us == 0:
             # runtime measurement anchors at the dispatch where real progress begins,
             # so a zero-length dispatch segment does not inflate the measurement
@@ -309,8 +395,9 @@ def run_sim(
             if rid not in cpu_map:
                 raise ValueError(f"hook assigned task '{tid}' to unknown resource '{rid}'")
             if where[index[tid]].id != rid:
-                append((now, "migrate", tid, rid))
-                where[index[tid]] = cpu_map[rid]
+                where[index[tid]] = cpu = cpu_map[rid]
+                stamp(now)
+                record(task_code[index[tid]] + cpu.code + _K_MIGRATE)
         rekey = False
         for tid in sorted(update.evicted):
             if tid not in index:
@@ -342,8 +429,8 @@ def run_sim(
             runtimes=runtimes,
         )
 
-    for t in tasks:
-        heappush(heap, (0, _R_RELEASE, index[t.id], next(counter), None, 0))
+    if ids:
+        heappush(heap, (0, _R_RELEASE, 0, next(counter), None, 0))
     ifr = noise.interference
     if ifr is not None:
         magnitude = ifr.magnitude_us
@@ -364,29 +451,39 @@ def run_sim(
             break
 
         if rank == _R_RELEASE:
-            cpu = where[tie]
-            job = Job(tie, cpu, now, now + deadline[tie], demand[tie]())
-            append((now, "release", ids[tie], cpu.id))
-            due_us = job.abs_deadline_us
-            if due_us <= duration_us:
-                due = dues.get(due_us)
-                if due is None:
-                    dues[due_us] = [job]
-                    heappush(heap, (due_us, _R_DEADLINE, 0, next(counter), None, 0))
-                else:
-                    due.append(job)
-            nxt = now + period[tie]
-            if nxt < duration_us:
-                heappush(heap, (nxt, _R_RELEASE, tie, next(counter), None, 0))
-            heappush(cpu.ready, (job_key(cpu, job), job))
-            dispatch(cpu, now)
+            released = releases.pop(now)
+            released.sort()  # the order per-task events would have popped in
+            for t in released:
+                cpu = where[t]
+                job = Job(t, cpu, task_code[t] + cpu.code, now, now + deadline[t], demand[t]())
+                stamp(now)
+                record(job.code + _K_RELEASE)
+                due_us = job.abs_deadline_us
+                if due_us <= duration_us:
+                    due = dues.get(due_us)
+                    if due is None:
+                        dues[due_us] = [job]
+                        heappush(heap, (due_us, _R_DEADLINE, 0, next(counter), None, 0))
+                    else:
+                        due.append(job)
+                nxt = now + period[t]
+                if nxt < duration_us:
+                    later = releases.get(nxt)
+                    if later is None:
+                        releases[nxt] = [t]
+                        heappush(heap, (nxt, _R_RELEASE, 0, next(counter), None, 0))
+                    else:
+                        later.append(t)
+                heappush(cpu.ready, (job_key(cpu, job), job))
+                dispatch(cpu, now)
 
         elif rank == _R_COMPLETE:
             cpu = obj.cpu
             if cpu.seq != seq:
                 continue  # superseded: every dispatch, preemption and completion moves seq
             obj.done = True
-            append((now, "complete", ids[tie], cpu.id))
+            stamp(now)
+            record(obj.code + _K_COMPLETE)
             samples[tie].append(now - obj.measure_start_us)
             cpu.running = None
             cpu.seq += 1
@@ -398,7 +495,8 @@ def run_sim(
                 due.sort(key=_task_rank)  # the order per-job events would have popped in
             for job in due:
                 if not job.done:
-                    append((now, "deadline_miss", ids[job.task], job.cpu.id))
+                    stamp(now)
+                    record(job.code + _K_MISS)
 
         elif rank == _R_IFR_START:
             cpu = obj
@@ -425,22 +523,32 @@ def run_sim(
             if nxt < duration_us:
                 heappush(heap, (nxt, _R_MONITOR, 0, next(counter), None, 0))
 
-    return SimTrace(events=events, per_task_runtimes=runtimes)
+    return SimTrace(runtimes, times, codes, tuple(ids), tuple(cpu_rank))
+
+
+_TRACE_CHUNK = 4096  # rows per write: the text of the whole trace is never held at once
 
 
 def write_trace_csv(trace: SimTrace, path) -> None:
+    stems = _Labels(trace, ",{},{},{}\n".format)
+    times, codes = trace.times, trace.codes
     with open(path, "w", newline="") as fh:
         fh.write("time_us,kind,task,resource\n")
-        for time_us, kind, task, resource in trace.events:
-            fh.write(f"{time_us},{kind},{task},{resource}\n")
+        for lo in range(0, len(times), _TRACE_CHUNK):
+            rows = times[lo:lo + _TRACE_CHUNK]
+            fields = [None] * (2 * len(rows))  # time, stem, time, stem, ...
+            fields[::2] = rows
+            fields[1::2] = map(stems.__getitem__, codes[lo:lo + _TRACE_CHUNK])
+            fh.write(("%d%s" * len(rows)) % tuple(fields))  # one format call per chunk
 
 
 def write_runtimes_csv(trace: SimTrace, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("task,runtime_us\n")
         for task, samples in trace.per_task_runtimes.items():
-            for r in samples:
-                fh.write(f"{task},{r}\n")
+            if samples:
+                rows = f"\n{task},".join(map(str, samples))
+                fh.write(f"{task},{rows}\n")
 
 
 def read_runtimes_csv(path) -> dict[str, list[int]]:

@@ -9,13 +9,34 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from rtorch.model import AllocationPlan, ExecModel, Policy, ResourceState, TaskSpec
-from rtorch.simulation import ZERO_NOISE, NoiseModel, PlanUpdate, SimHook, SimSnapshot, SimTrace
+from rtorch.simulation import _KINDS, ZERO_NOISE, NoiseModel, PlanUpdate, SimHook, SimSnapshot, SimTrace
+
+
+def trace_of(
+    events: Sequence[tuple[int, str, str, str]],
+    per_task_runtimes: dict[str, list[int]],
+    task_ids: Sequence[str] = (),
+    cpu_ids: Sequence[str] = (),
+) -> SimTrace:
+    """The columnar SimTrace of ``(time_us, kind, task, resource)`` tuples.
+
+    The id tables are ``task_ids`` and ``cpu_ids`` plus every id the events
+    name, each sorted, as ``run_sim`` interns them.
+    """
+    tasks = sorted({*task_ids, *(e[2] for e in events)})
+    cpus = sorted({*cpu_ids, *(e[3] for e in events)})
+    bits = len(cpus).bit_length()
+    codes = [(tasks.index(task) << bits | cpus.index(cpu)) << 3 | _KINDS.index(kind)
+             for _, kind, task, cpu in events]
+    return SimTrace(per_task_runtimes, array("q", [e[0] for e in events]), array("q", codes),
+                    tuple(tasks), tuple(cpus))
 
 
 def phi_simpson(x: float, lo: float = -12.0, steps: int = 20000) -> float:
@@ -452,7 +473,7 @@ def run_sim_reference(
             if nxt < duration_us:
                 push(nxt, _R_MONITOR, "", ("monitor",))
 
-    return SimTrace(events=events, per_task_runtimes=runtimes)
+    return trace_of(events, runtimes, task_map, cpu_map)
 
 
 # histogram_modes on scipy.signal.find_peaks; the library's must agree with it on

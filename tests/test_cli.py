@@ -310,6 +310,20 @@ def test_usage_errors_exit_one_not_two(capsys):
     capsys.readouterr()
 
 
+def test_the_parser_is_built_once_and_keeps_nothing_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, plain, _ = run_cli(ANALYZE, capsys)
+    assert code == 0
+    code, overridden, _ = run_cli(ANALYZE + ["--task-period", "cam_y=250000"], capsys)
+    assert code == 0 and overridden != plain
+    # the append action's default list is not shared: the next call sees no leftover override
+    assert run_cli(ANALYZE, capsys) == (0, plain, "")
+    assert cli.build_parser().parse_args(ANALYZE).task_period == []
+    code, out, err = run_cli(["analyze", "--period-us", "x"], capsys)
+    assert (code, out) == (1, "") and "invalid int value: 'x'" in err
+    assert run_cli(ANALYZE, capsys) == (0, plain, "")
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 @pytest.mark.parametrize("strategy", ["naive", "monte_carlo"])
 def test_plan_rejects_nonpositive_mc_samples(samples, strategy, capsys):
@@ -335,6 +349,8 @@ ANALYZE = ["analyze", str(CAMERA_RUNTIMES), "--period-us", "125000"]
     pytest.param(["analyze", str(CAMERA_RUNTIMES), "--period-us", str(10**399)], "--period-us",
                  id="period-400-digits"),
     pytest.param(ANALYZE + ["--task-period", f"cam_y={10**399}"], "--task-period", id="task-period-400-digits"),
+    # past 4,300 digits int() itself refuses the value
+    pytest.param(ANALYZE + ["--task-period", f"cam_x={'9' * 5001}"], "--task-period", id="task-period-5001-digits"),
     pytest.param(ANALYZE + ["--u-max", "0"], "--u-max", id="u-max-0"),
     pytest.param(ANALYZE + ["--u-max", "-1"], "--u-max", id="u-max-neg"),
     pytest.param(ANALYZE + ["--u-max", "inf"], "--u-max", id="u-max-inf"),

@@ -18,9 +18,8 @@ from rtorch.reporting import (
     render_table,
     write_report_json,
 )
-from rtorch.simulation import SimTrace
 
-from oracles import histogram_modes_reference, two_pass_stats
+from oracles import histogram_modes_reference, trace_of, two_pass_stats
 
 
 def trace_with_means():
@@ -31,7 +30,7 @@ def trace_with_means():
         "u3": [10_700, 10_708],
         "u4": [10_715, 10_725],
     }
-    return SimTrace(events=[], per_task_runtimes=runtimes)
+    return trace_of([], runtimes)
 
 
 def test_group_figures_from_known_means():
@@ -48,7 +47,7 @@ def test_group_figures_from_known_means():
 def test_stats_match_independent_two_pass(tmp_path):
     rng = np.random.default_rng(42)
     samples = [int(x) for x in rng.normal(10_000, 120, size=5_000)]
-    trace = SimTrace(events=[], per_task_runtimes={"a": samples})
+    trace = trace_of([], {"a": samples})
     report = build_report(trace)
     mean, var = two_pass_stats([float(s) for s in samples])
     assert report.per_task["a"].mean_us == pytest.approx(mean, rel=1e-12)
@@ -58,16 +57,14 @@ def test_stats_match_independent_two_pass(tmp_path):
 
 
 def test_empty_task_rejected():
-    trace = SimTrace(events=[], per_task_runtimes={"a": [100], "b": []})
+    trace = trace_of([], {"a": [100], "b": []})
     with pytest.raises(ValueError, match="task 'b' completed no jobs"):
         build_report(trace)
 
 
 def test_miss_counts_flow_into_stats():
-    trace = SimTrace(
-        events=[(100, "deadline_miss", "a", "cpu0"), (200, "deadline_miss", "a", "cpu0")],
-        per_task_runtimes={"a": [50, 60]},
-    )
+    trace = trace_of([(100, "deadline_miss", "a", "cpu0"), (200, "deadline_miss", "a", "cpu0")],
+                     {"a": [50, 60]})
     report = build_report(trace)
     assert report.per_task["a"].miss_count == 2
 
@@ -75,10 +72,10 @@ def test_miss_counts_flow_into_stats():
 @settings(max_examples=40)
 @given(
     st.lists(st.integers(0, 100_000), min_size=1, max_size=300),
-    st.sampled_from([1, 5, 10, 25]),
+    st.sampled_from([1, 5, 10, 25, 10**30]),  # a width past int64 makes one bin
 )
 def test_histogram_conserves_counts_and_covers_samples(samples, bin_width):
-    trace = SimTrace(events=[], per_task_runtimes={"a": samples})
+    trace = trace_of([], {"a": samples})
     report = build_report(trace, bin_width_us=bin_width)
     bins = report.histogram["a"]
     assert sum(c for _, _, c in bins) == len(samples)
@@ -92,7 +89,7 @@ def test_histogram_conserves_counts_and_covers_samples(samples, bin_width):
 
 def test_histogram_export_normalizes_per_task(tmp_path):
     runtimes = {"a": [10, 11, 12, 25, 25], "b": [7, 7]}
-    trace = SimTrace(events=[], per_task_runtimes=runtimes)
+    trace = trace_of([], runtimes)
     report = build_report(trace)
     path = tmp_path / "hist.csv"
     export_histogram(report, path)
@@ -154,7 +151,7 @@ def test_report_json_equals_json_dump(report):
 
 
 def test_single_task_group_has_zero_skew():
-    trace = SimTrace(events=[], per_task_runtimes={"solo": [100, 110, 120]})
+    trace = trace_of([], {"solo": [100, 110, 120]})
     report = build_report(trace)
     assert report.skw == (0, 0)
     assert report.sd_mx_us == report.per_task["solo"].stddev_us

@@ -12,7 +12,9 @@ from rtorch.model import Criticality, Policy
 from rtorch.orchestration import Strategy
 from rtorch.probability import NormalParams
 from rtorch.scenario import ScenarioError, load_scenario, parse_scenario
-from rtorch.simulation import SimTrace, read_runtimes_csv, write_runtimes_csv
+from rtorch.simulation import read_runtimes_csv, write_runtimes_csv
+
+from oracles import trace_of
 
 BASE = {
     "tasks": [
@@ -301,5 +303,5 @@ def test_accepted_task_ids_survive_the_runtimes_csv(tid):
     # what simulate writes, analyze reads back
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "runtimes.csv"
-        write_runtimes_csv(SimTrace(events=[], per_task_runtimes={tid: [7, 9], "bg": [1]}), path)
+        write_runtimes_csv(trace_of([], {tid: [7, 9], "bg": [1]}), path)
         assert read_runtimes_csv(path) == {tid: [7, 9], "bg": [1]}

@@ -13,7 +13,6 @@ from rtorch.simulation import (
     Interference,
     NoiseModel,
     PlanUpdate,
-    SimTrace,
     demand_stream,
     read_runtimes_csv,
     run_sim,
@@ -24,7 +23,7 @@ from rtorch.simulation import (
 import numpy as np
 
 from conftest import SCENARIO_DIR
-from oracles import demand_stream_reference, read_runtimes_csv_reference, run_sim_reference
+from oracles import demand_stream_reference, read_runtimes_csv_reference, run_sim_reference, trace_of
 
 
 def fixed_task(tid, period_us, exec_us, budget_us=None, deadline_us=None):
@@ -333,7 +332,7 @@ def test_sample_runtime_adds_overhead_after_clamping():
 
 
 def test_runtimes_csv_roundtrip(tmp_path):
-    trace = SimTrace(events=[], per_task_runtimes={"a": [100, 101], "b": [5]})
+    trace = trace_of([], {"a": [100, 101], "b": [5]})
     path = tmp_path / "runtimes.csv"
     write_runtimes_csv(trace, path)
     assert read_runtimes_csv(path) == {"a": [100, 101], "b": [5]}
@@ -353,11 +352,32 @@ def test_runtimes_csv_reports_bad_line_number(tmp_path):
         read_runtimes_csv(path)
 
 
+def test_trace_csv_has_one_row_per_event(tmp_path, monkeypatch):
+    scenario = load_scenario(SCENARIO_DIR / "fig5_short.json")
+    trace = run_sim(scenario.initial_plan, scenario.tasks, scenario.resources, noise=scenario.sim.noise,
+                    duration_us=500_000, seed=scenario.sim.seed)
+    monkeypatch.setattr(simulation, "_TRACE_CHUNK", 100)  # 684 events: six whole chunks and a part
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    rows = path.read_text().splitlines()[1:]
+    assert len(trace.events) == len(rows) > 0
+    assert rows == [",".join(map(str, e)) for e in trace.events]
+
+
+def test_events_are_a_read_only_view():
+    trace = run_sim({"a": "cpu0"}, [fixed_task("a", 1_000, 300)], [edf_cpu()], duration_us=3_000)
+    events = trace.events
+    assert not hasattr(events, "append") and not hasattr(events, "__setitem__")
+    with pytest.raises(TypeError):
+        events[0] = (0, "release", "a", "cpu0")
+    assert events[-1] == (2_300, "complete", "a", "cpu0")
+    assert events[:2] == [(0, "release", "a", "cpu0"), (0, "start", "a", "cpu0")]
+    assert events == list(events) and list(events) == events
+    assert events != list(events)[:-1]
+
+
 def test_trace_csv_format(tmp_path):
-    trace = SimTrace(
-        events=[(0, "release", "a", "cpu0"), (10, "complete", "a", "cpu0")],
-        per_task_runtimes={"a": [10]},
-    )
+    trace = trace_of([(0, "release", "a", "cpu0"), (10, "complete", "a", "cpu0")], {"a": [10]})
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     assert path.read_text() == "time_us,kind,task,resource\n0,release,a,cpu0\n10,complete,a,cpu0\n"
@@ -667,3 +687,31 @@ def test_one_deadline_event_per_distinct_deadline_time(monkeypatch):
     # four tasks of one period: 2,400 jobs, due at 600 distinct times
     assert sum(len(v) for v in trace.per_task_runtimes.values()) == 2_400
     assert len(pushed) == len(set(pushed)) == 600
+
+
+def test_one_release_event_per_distinct_release_time(monkeypatch):
+    pushed = []
+    heappush = simulation.heapq.heappush
+
+    def counting(heap, item):
+        if len(item) == 6 and item[1] == simulation._R_RELEASE:
+            pushed.append(item[0])
+        heappush(heap, item)
+
+    monkeypatch.setattr(simulation.heapq, "heappush", counting)
+    scenario = load_scenario(SCENARIO_DIR / "table1_4units.json")
+    trace = run_sim(scenario.initial_plan, scenario.tasks, scenario.resources, noise=scenario.sim.noise,
+                    duration_us=scenario.sim.duration_us, seed=scenario.sim.seed)
+    # four tasks of one period: 2,400 jobs, released at 600 distinct times
+    assert sum(len(v) for v in trace.per_task_runtimes.values()) == 2_400
+    assert len(pushed) == len(set(pushed)) == 600
+
+
+def test_a_later_release_preempts_the_job_an_earlier_release_just_started():
+    # both release at 6 ms on an idle RM CPU: a (index 0) starts, then b's shorter period preempts it
+    tasks = [fixed_task("b", 2_000, 500), fixed_task("a", 3_000, 1_000)]
+    cpu = ResourceState(id="cpu0", policy=Policy.RM, u_max=1.0)
+    events = _same_as_reference({"a": "cpu0", "b": "cpu0"}, tasks, [cpu], duration_us=9_000)
+    assert [e for e in events if e[0] == 6_000] == [
+        (6_000, "release", "a", "cpu0"), (6_000, "start", "a", "cpu0"), (6_000, "release", "b", "cpu0"),
+        (6_000, "preempt", "a", "cpu0"), (6_000, "start", "b", "cpu0")]
