@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from itertools import takewhile
 from pathlib import Path
 
 from .admission import admit
@@ -32,7 +33,7 @@ from .orchestration import (
 from .probability import (
     GOODNESS_POOR,
     MIN_FIT_SAMPLES,
-    StreamingFit,
+    fit_tasks,
     joint_utilization,
     miss_probability,
 )
@@ -46,6 +47,7 @@ EXIT_HARD_MISS = 2
 EXIT_INFEASIBLE = 3
 
 log = logging.getLogger("rtorch")
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,6 +105,8 @@ def cmd_simulate(args) -> int:
         return _bad_option("--bin-width-us", "positive integer", args.bin_width_us)
     if args.seed is not None and args.seed < 0:
         return _bad_option("--seed", "non-negative integer", args.seed)
+    if args.duration_us is not None and not 1 <= args.duration_us <= MAX_US:
+        return _bad_option("--duration-us", "integer in [1, 2**53]", args.duration_us)
     try:
         scenario = load_scenario(args.scenario)
         assignments = _initial_assignments(scenario)
@@ -180,17 +184,19 @@ def cmd_analyze(args) -> int:
             return EXIT_INPUT
         periods[tid] = int(value)
 
+    # a short task ends the run, after the lines of the tasks before it
+    short = next((tid for tid, values in samples.items() if len(values) < MIN_FIT_SAMPLES), None)
+    fitted = dict(takewhile(lambda item: item[0] != short, samples.items()))
     models = []
-    for tid, values in samples.items():
-        if len(values) < MIN_FIT_SAMPLES:
-            print(f"error: task '{tid}' has {len(values)} samples; need at least {MIN_FIT_SAMPLES}",
-                  file=sys.stderr)
-            return EXIT_INPUT
-        params, goodness = StreamingFit(values).to_normal()
+    for tid, (params, goodness) in fit_tasks(fitted, score=True).items():
         flag = "  WARNING: poor normal fit" if goodness > GOODNESS_POOR else ""
-        print(f"task {tid}: n={len(values)} mu={params.mu:.1f}us sigma={params.sigma:.1f}us "
+        print(f"task {tid}: n={len(samples[tid])} mu={params.mu:.1f}us sigma={params.sigma:.1f}us "
               f"goodness={goodness:.4f}{flag}")
         models.append((params, periods[tid]))
+    if short is not None:
+        print(f"error: task '{short}' has {len(samples[short])} samples; need at least {MIN_FIT_SAMPLES}",
+              file=sys.stderr)
+        return EXIT_INPUT
 
     joint = joint_utilization(models)
     prob = miss_probability(joint, args.u_max)
@@ -255,8 +261,8 @@ def cmd_plan(args) -> int:
 
 def main(argv=None) -> int:
     level = os.environ.get("RTORCH_LOG", "").upper()
-    if level:
-        logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    if level:  # any other value, such as a logging attribute that is no level, means warnings
+        logging.basicConfig(level=getattr(logging, level) if level in _LOG_LEVELS else logging.WARNING)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -34,7 +34,7 @@ from .probability import (
     ULP,
     NormalParams,
     breach_cutoffs,
-    fit_normals,
+    fit_tasks,
     tail_bounds,
     tail_z_bounds,
 )
@@ -348,18 +348,15 @@ def window_fits(
     """Normal fit over each task's most recent ``fit_window`` samples.
 
     Tasks with fewer than ``MIN_FIT_SAMPLES`` samples get no entry, so consumers
-    fall back to the declared execution model.  Windows of one length are
-    fitted together, as the rows of one array.
+    fall back to the declared execution model.  ``fit_tasks`` fits windows of
+    one length together, as the rows of one array.
     """
-    by_length: dict[int, list[str]] = {}
+    windows = {}
     for tid, samples in runtimes.items():
         n = min(len(samples), fit_window)
         if n >= MIN_FIT_SAMPLES:
-            by_length.setdefault(n, []).append(tid)
-    fits: dict[str, NormalParams] = {}
-    for n, tids in by_length.items():
-        fits.update(zip(tids, fit_normals([runtimes[tid][-n:] for tid in tids])))
-    return fits
+            windows[tid] = samples[-n:]
+    return {tid: fit for tid, (fit, _) in fit_tasks(windows).items()}
 
 
 class OrchestratorHook:

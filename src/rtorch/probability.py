@@ -15,11 +15,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .model import TaskSpec, utilization
+
+K = TypeVar("K")
 
 _SQRT2 = math.sqrt(2.0)
 # float64 machine epsilon, twice the unit roundoff
@@ -142,25 +144,44 @@ def buffer(tasks: Iterable[TaskSpec]) -> float:
     return 1.0 - math.fsum(utilization(t) for t in tasks)
 
 
-def ks_statistic(samples: Sequence[float], params: NormalParams) -> float:
+def ks_statistic(samples: Sequence[float] | Sequence[Sequence[float]],
+                 params: NormalParams | Sequence[NormalParams]) -> float | list[float]:
     """One-sample Kolmogorov-Smirnov distance between samples and N(mu, sigma).
 
-    For a degenerate fit (sigma == 0, constant stream) the distance is
-    defined as 0.
+    ``samples`` is one sample list and ``params`` its fit, or ``samples`` is
+    rows of one length and ``params`` one fit per row; then the result is a
+    list with each row's distance, the bits that row gets alone.  For a
+    degenerate fit (sigma == 0, constant stream) the distance is defined as 0.
     """
-    if params.sigma == 0.0:
-        return 0.0
-    xs = np.sort(np.asarray(samples, dtype=float))
-    n = xs.size
+    xs = np.asarray(samples, dtype=float)
+    if xs.ndim == 1:
+        return _ks_rows(xs[None], [params])[0]
+    return _ks_rows(xs, params)
+
+
+def _ks_rows(xs: np.ndarray, params: Sequence[NormalParams]) -> list[float]:
+    """``ks_statistic`` of each row of ``xs`` against its own fit."""
+    out = [0.0] * len(params)
+    live = [i for i, fit in enumerate(params) if fit.sigma != 0.0]
+    if not live:
+        return out
+    xs = np.sort(xs[live], axis=1)
+    n = xs.shape[1]
     # tied samples share one CDF value, so Phi((x - mu) / sigma) is taken once
-    # per run of ties: D+ peaks at a run's last index and D- at its first
-    last = np.flatnonzero(np.append(xs[1:] != xs[:-1], True))
-    first = np.append(0, last[:-1] + 1)
-    cdf = 0.5 * _erfc(-(xs[last] - params.mu) / (params.sigma * _SQRT2))
-    steps = np.arange(1, n + 1) / n
-    d_plus = np.max(steps[last] - cdf)
-    d_minus = np.max(cdf - (steps[first] - 1 / n))
-    return float(max(d_plus, d_minus))
+    # per run of ties in a row: D+ peaks at a run's last index and D- at its first
+    edges = np.ones((len(live), n + 1), dtype=bool)
+    edges[:, 1:-1] = xs[:, 1:] != xs[:, :-1]
+    last, first = edges[:, 1:], edges[:, :-1]
+    mu = np.array([params[i].mu for i in live])[:, None]
+    scale = np.array([params[i].sigma for i in live])[:, None] * _SQRT2
+    cdf = 0.5 * _erfc((-(xs - mu) / scale)[last])
+    steps = np.broadcast_to(np.arange(1, n + 1) / n, xs.shape)
+    rows = np.append(0, np.cumsum(last.sum(axis=1))[:-1])  # each row's first run in cdf
+    d_plus = np.maximum.reduceat(steps[last] - cdf, rows)
+    d_minus = np.maximum.reduceat(cdf - (steps[first] - 1 / n), rows)
+    for i, d in zip(live, np.maximum(d_plus, d_minus).tolist()):
+        out[i] = d
+    return out
 
 
 def fit_normal(samples: Sequence[float]) -> NormalParams:
@@ -186,6 +207,26 @@ def fit_normals(rows: Sequence[Sequence[float]]) -> list[NormalParams]:
     sigmas = xs.std(axis=1, ddof=1).tolist()
     return [NormalParams(first, 0.0) if same else NormalParams(mu, sigma)
             for first, same, mu, sigma in zip(firsts, constant, mus, sigmas)]
+
+
+def fit_tasks(samples: Mapping[K, Sequence[float]], score: bool = False) -> dict[K, tuple[NormalParams, float]]:
+    """``fit_normal`` of each entry's samples, with its ``ks_statistic`` when ``score`` (else nan).
+
+    Entries with one sample count are stacked as the rows of one array, so
+    there is one ``fit_normals`` call and one ``ks_statistic`` call per
+    distinct count.  Each row fits and scores to the bits it gets alone.  The
+    result keeps the order of ``samples``.
+    """
+    by_count: dict[int, list[K]] = {}
+    for key, values in samples.items():
+        by_count.setdefault(len(values), []).append(key)
+    out: dict[K, tuple[NormalParams, float]] = dict.fromkeys(samples)
+    for keys in by_count.values():
+        rows = np.asarray([samples[key] for key in keys], dtype=np.float64)
+        fits = fit_normals(rows)
+        scores = ks_statistic(rows, fits) if score else [math.nan] * len(keys)
+        out.update(zip(keys, zip(fits, scores)))
+    return out
 
 
 @dataclass
@@ -218,5 +259,4 @@ class StreamingFit:
         """Fitted NormalParams plus KS goodness-of-fit (smaller is better)."""
         if self.count < MIN_FIT_SAMPLES:
             raise ValueError("insufficient samples")
-        params = fit_normal(self.samples)
-        return params, ks_statistic(self.samples, params)
+        return fit_tasks({0: self.samples}, score=True)[0]

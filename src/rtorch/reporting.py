@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .probability import fit_normal
+from .probability import fit_tasks
 from .simulation import SimTrace
 
 
@@ -54,19 +54,21 @@ def _bin_runtimes(samples: Sequence[int], bin_width: int) -> list[tuple[int, int
 def build_report(trace: SimTrace, bin_width_us: int = 10) -> RunReport:
     """Summarize a trace; every task must have completed at least one job."""
     misses = trace.miss_counts()
-    per_task: dict[str, TaskStats] = {}
-    for tid, samples in trace.per_task_runtimes.items():
+    runtimes = trace.per_task_runtimes
+    for tid, samples in runtimes.items():
         if not samples:
             raise ValueError(f"task '{tid}' completed no jobs")
-        fit = fit_normal(samples)
-        per_task[tid] = TaskStats(
-            count=len(samples),
+    per_task = {
+        tid: TaskStats(
+            count=len(runtimes[tid]),
             mean_us=fit.mu,
             stddev_us=fit.sigma,
-            min_us=min(samples),
-            max_us=max(samples),
+            min_us=min(runtimes[tid]),
+            max_us=max(runtimes[tid]),
             miss_count=misses[tid],
         )
+        for tid, (fit, _) in fit_tasks(runtimes).items()
+    }
 
     means = {tid: s.mean_us for tid, s in per_task.items()}
     group_avg = math.fsum(means.values()) / len(means)

@@ -542,9 +542,18 @@ def write_trace_csv(trace: SimTrace, path) -> None:
             fh.write(("%d%s" * len(rows)) % tuple(fields))  # one format call per chunk
 
 
+_HEADER = "task,runtime_us\n"
+# the paths break even near 300 rows; below 1,000 either takes well under a
+# millisecond, so small files keep the line loop
+_BULK_ROWS = 1000
+_US_DIGITS = len(str(MAX_US))
+# _ID_MASKS[k] keeps the first k bytes of a little-endian 8-byte word
+_ID_MASKS = np.array([(1 << 8 * k) - 1 for k in range(8)] + [2**64 - 1], dtype=np.uint64)
+
+
 def write_runtimes_csv(trace: SimTrace, path) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write("task,runtime_us\n")
+        fh.write(_HEADER)
         for task, samples in trace.per_task_runtimes.items():
             if samples:
                 rows = f"\n{task},".join(map(str, samples))
@@ -552,10 +561,25 @@ def write_runtimes_csv(trace: SimTrace, path) -> None:
 
 
 def read_runtimes_csv(path) -> dict[str, list[int]]:
-    """Parse a runtimes CSV back into per-task sample lists (insertion order kept)."""
+    """Parse a runtimes CSV back into per-task sample lists (insertion order kept).
+
+    A long file as ``write_runtimes_csv`` writes it parses in NumPy passes
+    (``_read_bulk``); any other file goes through the line loop, which also
+    words every error.
+    """
     # universal newlines turn \r\n and a lone \r into \n, so lines split as a file iterates them
     with open(path) as fh:
-        lines = fh.read().split("\n")
+        text = fh.read()
+    if text.count("\n") >= _BULK_ROWS:
+        out = _read_bulk(text)
+        if out is not None:
+            return out
+    return _read_lines(text)
+
+
+def _read_lines(text: str) -> dict[str, list[int]]:
+    """The line loop: reads any text, and words every error with its line number."""
+    lines = text.split("\n")
     header = lines[0].strip()
     if header != "task,runtime_us":
         raise ValueError(f"unexpected runtimes header: {header!r}")
@@ -576,4 +600,69 @@ def read_runtimes_csv(path) -> dict[str, list[int]]:
             task = row_task
             samples = out.setdefault(task, [])
         samples.append(runtime)
+    return out
+
+
+def _read_bulk(text: str) -> dict[str, list[int]] | None:
+    """``_read_lines(text)`` for a canonical file, or None for any other.
+
+    Canonical is the header line, then rows ``id,value`` each ending in a
+    newline: the id holds no whitespace and the value is an optional ``-`` and
+    1 to 16 ASCII digits, of magnitude at most ``MAX_US``.  Rows of a task
+    need not be contiguous.  The text is scanned as UTF-8 bytes, in which a
+    newline, comma, ``-`` or digit byte is never part of another character.
+    """
+    if not text.startswith(_HEADER) or not text.endswith("\n"):
+        return None
+    raw = text.encode()
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    # past the header, separators must alternate comma, newline: one comma a row
+    seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))[2:]
+    commas, ends = seps[0::2], seps[1::2]
+    if (not ends.size or commas.size != ends.size or (buf[commas] != ord(",")).any()
+            or (buf[ends] != ord("\n")).any()):
+        return None
+    negative = buf[commas + 1] == ord("-")
+    first_digit = commas + 1 + negative
+    n_digits = ends - first_digit
+    if n_digits.min() < 1 or n_digits.max() > _US_DIGITS:
+        return None
+    # rows with n digits are read n columns at a time, so no mask is needed
+    magnitude = np.empty(ends.size, dtype=np.int64)
+    for n in np.flatnonzero(np.bincount(n_digits)).tolist():
+        rows = np.flatnonzero(n_digits == n)
+        at = first_digit[rows]
+        value = np.zeros(rows.size, dtype=np.int64)
+        for k in range(n):
+            digit = buf[at + k] - np.uint8(ord("0"))  # a non-digit wraps past 9
+            if (digit > 9).any():
+                return None
+            value *= 10
+            value += digit
+        magnitude[rows] = value
+    if magnitude.max() > MAX_US:
+        return None
+    values = np.where(negative, -magnitude, magnitude).tolist()
+
+    # a row starts a run unless its id has the bytes of the row before's,
+    # compared eight bytes at a time as little-endian words
+    starts = np.append(len(_HEADER), ends[:-1] + 1)
+    id_len = commas - starts
+    longest = int(id_len.max())
+    padded = raw + bytes(longest + 8)  # every row reads as many words as the longest id
+    words = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    new_run = np.ones(ends.size, dtype=bool)
+    new_run[1:] = id_len[1:] != id_len[:-1]
+    for at in range(0, longest, 8):
+        word = words[starts + at] & _ID_MASKS[np.clip(id_len - at, 0, 8)]
+        new_run[1:] |= word[1:] != word[:-1]
+    runs = np.flatnonzero(new_run)
+    bounds = [*runs.tolist(), ends.size]
+
+    out: dict[str, list[int]] = {}
+    for lo, hi, start, comma in zip(bounds, bounds[1:], starts[runs].tolist(), commas[runs].tolist()):
+        task = raw[start:comma].decode()
+        if not task or any(map(str.isspace, task)):
+            return None
+        out.setdefault(task, []).extend(values[lo:hi])
     return out

@@ -1,12 +1,16 @@
 import json
+import logging
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import DATA_DIR, SCENARIO_DIR
+from conftest import DATA_DIR, REPO_ROOT, SCENARIO_DIR
 from rtorch import cli
 from rtorch.probability import MIN_FIT_SAMPLES
 from rtorch.scenario import ScenarioError, parse_scenario
@@ -154,6 +158,23 @@ def test_analyze_task_period_override_changes_group(capsys):
     # halving cam_y's rate lowers the joint mean utilization below 0.75
     joint_mu = float(out.split("joint_mu=")[1].split()[0])
     assert joint_mu < 0.75
+
+
+def test_analyze_prints_the_tasks_before_a_thin_one_then_exits_one(tmp_path, capsys):
+    rows = {tid: [1000 + 7 * i % 41 + k for i in range(40 + k)] for k, tid in enumerate(["a", "b"])}
+    rows.update(thin=list(range(500, 505)), late=list(range(2000, 2040)))
+    path = tmp_path / "thin.csv"
+    path.write_text("task,runtime_us\n" + "".join(f"{tid},{r}\n" for tid, rs in rows.items() for r in rs))
+    alone = tmp_path / "alone.csv"
+    alone.write_text("".join(path.read_text().splitlines(keepends=True)[:1 + 40 + 41]))
+    argv = ["--period-us", "10000"]
+    code, out_alone, _ = run_cli(["analyze", str(alone), *argv], capsys)
+    assert code == 0 and out_alone.startswith("task a: ")
+    code, out, err = run_cli(["analyze", str(path), *argv], capsys)
+    assert code == 1
+    # the lines of a and b exactly as they print alone; no group line, nothing of the later task
+    assert out == "".join(out_alone.splitlines(keepends=True)[:2])
+    assert err == "error: task 'thin' has 5 samples; need at least 30\n"
 
 
 def test_analyze_rejects_thin_samples(tmp_path, capsys):
@@ -362,6 +383,11 @@ ANALYZE = ["analyze", str(CAMERA_RUNTIMES), "--period-us", "125000"]
                  "--bin-width-us", id="bin-width-0"),
     pytest.param(["simulate", "--scenario", str(SCENARIO_DIR / "table1_4units.json"), "--seed", "-1"],
                  "--seed", id="simulate-seed-neg"),
+    # past 2**53, as a scenario's sim.duration_us, a run could not finish
+    pytest.param(["simulate", "--scenario", str(SCENARIO_DIR / "table1_4units.json"),
+                  "--duration-us", str(10**20)], "--duration-us", id="duration-past-2-53"),
+    pytest.param(["simulate", "--scenario", str(SCENARIO_DIR / "table1_4units.json"), "--duration-us", "0"],
+                 "--duration-us", id="duration-0"),
     pytest.param(["plan", "--scenario", str(SCENARIO_DIR / "conveyor.json"), "--strategy", "monte_carlo",
                   "--seed", "-1"], "--seed", id="plan-seed-neg"),
 ])
@@ -586,6 +612,32 @@ def test_analyze_accepts_a_ceiling_above_one(capsys):
     code, out, _ = run_cli(ANALYZE + ["--u-max", "2"], capsys)
     assert code == 0
     assert "u_max=2 " in out
+
+
+@pytest.mark.parametrize("value, level", [
+    ("debug", logging.DEBUG), ("Info", logging.INFO), ("warning", logging.WARNING),
+    # logging attributes that are no level, and nonsense, fall back to warnings
+    ("basic_format", logging.WARNING), ("root", logging.WARNING), ("nonsense", logging.WARNING),
+])
+def test_log_env_variable_sets_only_real_levels(value, level, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: calls.append(kwargs))
+    monkeypatch.setenv("RTORCH_LOG", value)
+    code, _, _ = run_cli(["plan", "--scenario", str(SCENARIO_DIR / "table1_4units.json")], capsys)
+    assert code == 0
+    assert calls == [{"level": level}]
+
+
+def test_a_log_value_that_is_no_level_runs_without_a_traceback(tmp_path):
+    # in a fresh process, where basicConfig does configure the root logger
+    env = dict(os.environ, RTORCH_LOG="basic_format",
+               PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "rtorch.cli", "plan", "--scenario",
+                           str(SCENARIO_DIR / "table1_4units.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert json.loads(done.stdout)["assignments"]
 
 
 def test_log_env_variable_is_accepted(tmp_path, capsys, monkeypatch):

@@ -11,6 +11,7 @@ from rtorch.probability import (
     StreamingFit,
     buffer,
     fit_normal,
+    fit_tasks,
     joint_utilization,
     ks_statistic,
     ULP,
@@ -20,7 +21,13 @@ from rtorch.probability import (
     tail_z_bounds,
 )
 
-from oracles import ks_statistic_reference, mc_group_miss_fraction, phi_simpson, two_pass_stats
+from oracles import (
+    fit_normal_reference,
+    ks_statistic_reference,
+    mc_group_miss_fraction,
+    phi_simpson,
+    two_pass_stats,
+)
 
 
 def make_task(tid, period, budget):
@@ -306,3 +313,45 @@ def test_ks_statistic_takes_one_tail_per_distinct_value(monkeypatch):
     monkeypatch.setattr(math, "erfc", lambda x: calls.append(x) or erfc(x))
     ks_statistic([3, 1, 3, 2, 1, 1, 3], NormalParams(2.0, 1.0))
     assert len(calls) == 3
+
+
+def test_ks_statistic_of_stacked_rows_takes_one_tail_per_distinct_value_per_row(monkeypatch):
+    rows = [[3, 1, 3, 2, 1, 1, 3], [5, 5, 6, 7, 7, 7, 8], [4, 4, 4, 4, 4, 4, 4]]
+    fits = [NormalParams(2.0, 1.0), NormalParams(6.0, 1.0), NormalParams(4.0, 0.0)]
+    calls = []
+    erfc = math.erfc
+    monkeypatch.setattr(math, "erfc", lambda x: calls.append(x) or erfc(x))
+    distances = ks_statistic(rows, fits)
+    assert len(calls) == 3 + 4  # the constant row's distance is 0 by definition
+    monkeypatch.undo()
+    assert distances == [ks_statistic(row, fit) for row, fit in zip(rows, fits)]
+
+
+@st.composite
+def task_rows(draw):
+    """One task's samples: ties, spread floats or a constant stream, of a length many tasks share."""
+    n = draw(st.sampled_from([1, 2, 3, 7, 30]))
+    kind = draw(st.sampled_from(["ties", "floats", "constant"]))
+    if kind == "ties":
+        return draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+    if kind == "floats":
+        return draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    return [draw(st.integers(-(2**53), 2**53))] * n
+
+
+@given(st.lists(task_rows(), min_size=1, max_size=10))
+def test_fit_tasks_gives_each_task_the_fit_and_distance_of_its_row_alone(rows):
+    samples = {f"t{i}": row for i, row in enumerate(rows)}
+    scored = fit_tasks(samples, score=True)
+    assert list(scored) == list(samples)
+    for tid, row in samples.items():
+        fit, distance = scored[tid]
+        assert fit == fit_normal(row) == NormalParams(*fit_normal_reference(row))
+        assert distance == ks_statistic(row, fit)
+        if fit.sigma == 0.0:
+            assert distance == 0.0
+        else:
+            assert abs(distance - ks_statistic_reference(row, fit)) <= 1e-15
+    unscored = fit_tasks(samples)
+    assert [fit for fit, _ in unscored.values()] == [fit for fit, _ in scored.values()]
+    assert all(math.isnan(distance) for _, distance in unscored.values())

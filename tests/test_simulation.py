@@ -601,6 +601,105 @@ def test_runtimes_csv_reader_matches_reference(header, rows, newline, trailing):
         assert outcome(read_runtimes_csv) == outcome(read_runtimes_csv_reference)
 
 
+# ids from the scenario id alphabet: no comma, double quote, whitespace or control character
+_TASK_IDS = st.text(st.characters(blacklist_categories=("Cc", "Cs"), blacklist_characters=',"'),
+                    min_size=1, max_size=5).filter(lambda tid: not any(c.isspace() for c in tid))
+
+
+@st.composite
+def canonical_runtimes(draw):
+    """The text of a long runtimes CSV as ``write_runtimes_csv`` writes it.
+
+    One to five tasks, values across +-2**53 repeated past ``_BULK_ROWS`` rows;
+    the first task may come back after the others, as rows appended by hand.
+    """
+    tids = draw(st.lists(_TASK_IDS, min_size=1, max_size=5, unique=True))
+    values = st.lists(st.integers(-(2**53), 2**53), min_size=1, max_size=6)
+    runtimes = {tid: draw(values) for tid in tids}
+    repeat = -(-simulation._BULK_ROWS // sum(map(len, runtimes.values()))) + draw(st.integers(0, 2))
+    runtimes = {tid: samples * repeat for tid, samples in runtimes.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "runtimes.csv"
+        write_runtimes_csv(trace_of([], runtimes), path)
+        text = path.read_text()
+    if len(tids) > 1 and draw(st.booleans()):
+        text += "".join(f"{tids[0]},{value}\n" for value in draw(values))
+    return text
+
+
+def _outcome(reader, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "runtimes.csv"
+        path.write_bytes(text.encode())
+        try:
+            return reader(path)
+        except ValueError as exc:
+            return f"error: {exc}"
+
+
+@given(canonical_runtimes())
+def test_canonical_runtimes_csv_reads_in_bulk_as_the_reference_reads_it(text):
+    assert simulation._read_bulk(text) is not None  # the bulk pass takes it
+    assert _outcome(read_runtimes_csv, text) == _outcome(read_runtimes_csv_reference, text)
+
+
+_CORRUPTIONS = {
+    "bad digit": lambda tid, value: f"{tid},{value}x",
+    "non-ASCII digit": lambda tid, value: f"{tid},1\u0663",
+    "plus sign": lambda tid, value: f"{tid},+{value.lstrip('-')}",
+    "underscore": lambda tid, value: f"{tid},1_000",
+    "17 digits": lambda tid, value: f"{tid},00000000000000001",
+    "extra comma": lambda tid, value: f"{tid},{value},1",
+    "missing comma": lambda tid, value: f"{tid}{value}",
+    "row split in two": lambda tid, value: f"{tid}\n{value}",
+    "blank line": lambda tid, value: f"\n{tid},{value}",
+    "two blank lines": lambda tid, value: f"\n\n{tid},{value}",
+    "CRLF": lambda tid, value: f"{tid},{value}\r",
+    "lone CR": lambda tid, value: f"{tid},{value}\r{tid},{value}",
+    "trailing space": lambda tid, value: f"{tid},{value} ",
+    "leading no-break space": lambda tid, value: f"\u00a0{tid},{value}",
+    "2**53+1": lambda tid, value: f"{tid},{2**53 + 1}",
+}
+
+
+def _corrupt(text, corruption, lineno):
+    """``text`` with its line ``lineno`` (1-based, past the header) corrupted, and the expected outcome."""
+    lines = text.split("\n")[:-1]
+    tid, value = lines[lineno - 1].rsplit(",", 1)
+    lines[lineno - 1] = _CORRUPTIONS[corruption](tid, value)
+    corrupted = "\n".join(lines) + "\n"
+    if corruption == "2**53+1":  # the reference reader has no bound
+        return corrupted, f"error: line {lineno}: runtime_us of magnitude past 2**53"
+    return corrupted, _outcome(read_runtimes_csv_reference, corrupted)
+
+
+@given(canonical_runtimes(), st.sampled_from(sorted(_CORRUPTIONS)), st.data())
+def test_a_corrupted_row_reads_as_the_reference_reads_it(text, corruption, data):
+    lineno = data.draw(st.integers(2, text.count("\n")))
+    corrupted, expected = _corrupt(text, corruption, lineno)
+    assert _outcome(read_runtimes_csv, corrupted) == expected
+
+
+# 1,500 rows: three runs, the first task back at the end, ids alike in their first eight bytes
+_LONG_RUNTIMES = "task,runtime_us\n" + "".join(
+    f"{tid},{value}\n" for tid, count in [("cam_é_0001", 600), ("cam_é_0002", 500), ("z", 300), ("cam_é_0001", 100)]
+    for value in range(-(count // 2), count - count // 2))
+
+
+def test_long_runtimes_csv_reads_in_bulk():
+    assert simulation._read_bulk(_LONG_RUNTIMES) is not None
+    expected = _outcome(read_runtimes_csv_reference, _LONG_RUNTIMES)
+    assert list(expected) == ["cam_é_0001", "cam_é_0002", "z"] and len(expected["cam_é_0001"]) == 700
+    assert _outcome(read_runtimes_csv, _LONG_RUNTIMES) == expected
+
+
+@pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+def test_each_corruption_of_a_long_file_reads_as_the_reference_reads_it(corruption):
+    corrupted, expected = _corrupt(_LONG_RUNTIMES, corruption, 700)
+    assert simulation._read_bulk(corrupted) is None  # so the line loop reads it
+    assert _outcome(read_runtimes_csv, corrupted) == expected
+
+
 # Deadline checks share one heap event per deadline time.  Each case below puts
 # that event in a tie the per-job events of ``run_sim_reference`` ordered one by
 # one, and checks that both engines write the same events.
