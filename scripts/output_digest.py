@@ -3,9 +3,10 @@
 
 The set: ``simulate`` with ``--duration-us 2000000`` on the nine bundled
 scenarios and on both benchmark fleet systems (``perfbench/inputs.py``,
-seed 1), ``analyze`` on each of those runs' ``runtimes.csv``, and ``plan``
+seed 1), ``analyze`` on each of those runs' ``runtimes.csv``, ``plan``
 under ``naive`` and ``monte_carlo --seed 3`` on those scenarios, the four
-benchmark placement systems (seed 1) and the benchmark fault system.  Each
+benchmark placement systems (seed 1) and the benchmark fault system, and
+last ``simulate`` over the scenario's own duration on ``FULL_RUNS``.  Each
 command contributes its stdout, stderr and exit code, and ``simulate`` each
 file it writes.  The temporary directory is masked, so two checkouts that
 produce the same outputs print the same lines.  The commands run in-process
@@ -33,6 +34,8 @@ from rtorch import cli  # noqa: E402
 
 SIM_DURATION_US = "2000000"
 MC_SEED = "3"
+# long runs, where long chains of jobs meet misses and interference
+FULL_RUNS = ("table1_10units", "fig5_short")
 RUN_FILES = ("trace.csv", "runtimes.csv", "report.json", "histogram.csv", "decisions.jsonl")
 
 
@@ -67,12 +70,14 @@ def digest_lines(tmp: Path) -> list[str]:
         planned[name] = _write(tmp / f"{name}.json", inputs.placement_scenario(1, n_tasks, n_cpus))
     planned["fault"] = _write(tmp / "fault.json", inputs.fault_scenario())
 
+    def simulate(label: str, path: Path, run: Path, *options: str) -> list[str]:
+        lines = _run(label, ["simulate", "--scenario", str(path), "--out", str(run), *options], tmp)
+        return lines + [_line((run / f).read_bytes(), f"{label} {f}") for f in RUN_FILES]
+
     lines = []
     for name, path in simulated.items():
         run = tmp / "runs" / name
-        lines += _run(f"simulate {name}", ["simulate", "--scenario", str(path), "--out", str(run),
-                                           "--duration-us", SIM_DURATION_US], tmp)
-        lines += [_line((run / f).read_bytes(), f"simulate {name} {f}") for f in RUN_FILES]
+        lines += simulate(f"simulate {name}", path, run, "--duration-us", SIM_DURATION_US)
         periods = {t["id"]: t["period_us"] for t in json.loads(path.read_text())["tasks"]}
         argv = ["analyze", str(run / "runtimes.csv"), "--period-us", str(min(periods.values()))]
         argv += [f"--task-period={tid}={period}" for tid, period in periods.items()]
@@ -81,6 +86,8 @@ def digest_lines(tmp: Path) -> list[str]:
         lines += _run(f"plan {name} naive", ["plan", "--scenario", str(path), "--strategy", "naive"], tmp)
         lines += _run(f"plan {name} monte_carlo", ["plan", "--scenario", str(path), "--strategy",
                                                    "monte_carlo", "--seed", MC_SEED], tmp)
+    for name in FULL_RUNS:
+        lines += simulate(f"simulate {name} full", simulated[name], tmp / "runs" / f"{name}_full")
     return lines
 
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .model import Criticality, Policy, ResourceState, TaskSpec, utilization
 from .probability import NormalParams, miss_probability
 
 
+@lru_cache
 def rm_bound(n: int) -> float:
     """Least upper utilization bound for rate-monotonic scheduling of n tasks.
 
@@ -110,8 +112,13 @@ class GroupLoad:
 
     def threshold(self, thresholds: Mapping[Criticality, float], candidate: TaskSpec | None = None) -> float:
         """Strictest threshold among the hosted tasks and ``candidate``; 1.0 for none."""
-        levels = self.levels if candidate is None else self.levels | {candidate.criticality}
-        return min((thresholds[c] for c in levels), default=1.0)
+        if candidate is None and not self.levels:
+            return 1.0
+        strictest = math.inf if candidate is None else thresholds[candidate.criticality]
+        for level in self.levels:
+            if thresholds[level] < strictest:
+                strictest = thresholds[level]
+        return strictest
 
     def verdict(self, threshold: float) -> AdmissionVerdict:
         """Both admission tests for the group as it stands (at least one task)."""

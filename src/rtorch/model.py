@@ -9,6 +9,7 @@ never raise on construction; ``validate_task`` reports them as data so callers
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Mapping
@@ -242,12 +243,15 @@ def read_array(data: Mapping[str, Any], key: str, where: str, default: Any = _RE
     raise _bad(where, key, "a non-empty array" if nonempty else "an array", value)
 
 
+# what an id may not hold: a comma, a double quote, whitespace (``str.isspace``) or
+# a control character, Unicode category Cc: U+0000-U+001F and U+007F-U+009F
+_ID_FORBIDDEN = re.compile(r'[,"\s\x00-\x1f\x7f-\x9f]')
+
+
 def read_id(data: Mapping[str, Any], where: str) -> str:
     """An id goes unquoted into CSV rows, so it must be one non-empty string field."""
     value = read_field(data, "id", where)
-    # control characters are Unicode category Cc: U+0000-U+001F and U+007F-U+009F
-    if type(value) is str and value and not any(
-            c in ',"' or c.isspace() or c < " " or "\x7f" <= c <= "\x9f" for c in value):
+    if type(value) is str and value and not _ID_FORBIDDEN.search(value):
         return value
     raise _bad(where, "id", "a non-empty id without commas, double quotes, whitespace or control characters",
                value)

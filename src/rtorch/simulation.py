@@ -474,20 +474,47 @@ def run_sim(
                         heappush(heap, (nxt, _R_RELEASE, 0, next(counter), None, 0))
                     else:
                         later.append(t)
-                heappush(cpu.ready, (job_key(cpu, job), job))
-                dispatch(cpu, now)
+                key = job_key(cpu, job)
+                if cpu.running is None and not cpu.ready and cpu.blocked_until <= now:
+                    cpu.running, cpu.running_key, cpu.run_since = job, key, now  # idle: start at once
+                    cpu.seq = seq = cpu.seq + 1
+                    stamp(now)
+                    record(job.code + _K_START)
+                    job.measure_start_us = now
+                    heappush(heap, (now + job.demand_us, _R_COMPLETE, t, next(counter), job, seq))
+                    continue
+                heappush(cpu.ready, (key, job))
+                if cpu.running is None or key < cpu.running_key:  # else dispatch would return at once
+                    dispatch(cpu, now)
 
         elif rank == _R_COMPLETE:
             cpu = obj.cpu
             if cpu.seq != seq:
                 continue  # superseded: every dispatch, preemption and completion moves seq
-            obj.done = True
-            stamp(now)
-            record(obj.code + _K_COMPLETE)
-            samples[tie].append(now - obj.measure_start_us)
-            cpu.running = None
-            cpu.seq += 1
-            dispatch(cpu, now)
+            ready = cpu.ready
+            # a running CPU is never blocked, so start the best ready job as dispatch would;
+            # while it ends before every heap event, its completion is the next event
+            while True:
+                obj.done = True
+                stamp(now)
+                record(obj.code + _K_COMPLETE)
+                samples[obj.task].append(now - obj.measure_start_us)
+                if not ready:
+                    cpu.running = None
+                    cpu.seq += 1
+                    break
+                key, obj = heappop(ready)
+                cpu.running, cpu.running_key, cpu.run_since = obj, key, now
+                cpu.seq = seq = cpu.seq + 2  # the completion's move and the dispatch's
+                stamp(now)
+                record(obj.code + (_K_START if obj.measure_start_us < 0 else _K_RESUME))
+                if obj.executed_us == 0:
+                    obj.measure_start_us = now
+                end = now + obj.demand_us - obj.executed_us
+                if end > duration_us or (heap and heap[0][0] <= end):
+                    heappush(heap, (end, _R_COMPLETE, obj.task, next(counter), obj, seq))
+                    break
+                now = end
 
         elif rank == _R_DEADLINE:
             due = dues.pop(now)

@@ -45,8 +45,34 @@ def test_rm_bound_strictly_decreasing():
 
 
 def test_rm_bound_rejects_nonpositive_n():
-    with pytest.raises(ValueError):
-        rm_bound(0)
+    for n in (0, -1, 0, -1):  # twice each: a memoized call raises as the first one did
+        with pytest.raises(ValueError):
+            rm_bound(n)
+
+
+def test_memoized_rm_bound_returns_the_formula_float():
+    for _ in range(2):
+        for n in range(1, 10_001):
+            assert rm_bound(n) == n * (2.0 ** (1.0 / n) - 1.0)
+
+
+def threshold_reference(load, thresholds, candidate=None):
+    """The strictest threshold as a set union and a generator: the first way it was written."""
+    levels = load.levels if candidate is None else load.levels | {candidate.criticality}
+    return min((thresholds[c] for c in levels), default=1.0)
+
+
+# thresholds past 1 included: the strictest of them is no lower than 1.0
+@given(st.lists(st.sampled_from(list(Criticality)), max_size=4),
+       st.one_of(st.none(), st.sampled_from(list(Criticality))),
+       st.lists(st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 1e9), st.just(math.inf), st.integers(0, 5)),
+                min_size=3, max_size=3))
+def test_threshold_equals_the_set_based_reference(hosted, candidate, values):
+    thresholds = dict(zip(Criticality, values))
+    load = GroupLoad(ResourceState(id="cpu0"), tasks=[make_task(f"t{i}", 1_000, 100, 100, crit=crit)
+                                                      for i, crit in enumerate(hosted)])
+    task = None if candidate is None else make_task("x", 1_000, 100, 100, crit=candidate)
+    assert load.threshold(thresholds, task) == threshold_reference(load, thresholds, task)
 
 
 def test_admits_tenth_task_exactly_at_edf_bound():

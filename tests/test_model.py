@@ -129,3 +129,16 @@ def test_validate_flags_overweight_mixture():
 
 def test_criticality_rank_ordering():
     assert Criticality.HARD.rank < Criticality.SOFT.rank < Criticality.BEST_EFFORT.rank
+
+
+def _id_forbidden_reference(c):
+    """The per-character id test ``read_id`` first applied."""
+    return c in ',"' or c.isspace() or c < " " or "\x7f" <= c <= "\x9f"
+
+
+def test_id_pattern_agrees_with_the_character_test_on_every_code_point():
+    # lone surrogates included: a JSON id can hold one ("\ud800")
+    from rtorch.model import _ID_FORBIDDEN
+    search = _ID_FORBIDDEN.search
+    assert [c for c in map(chr, range(0x110000)) if bool(search(c)) != _id_forbidden_reference(c)] == []
+    assert search("cam_a\u2028b") and not search("cam_é_0001")

@@ -33,8 +33,8 @@ def test_output_digest_prints_one_masked_line_per_output(digest_lines):
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines)
     digests = {line[66:]: line[:64] for line in lines}
     assert len(digests) == len(lines)
-    # 11 simulates with 8 outputs, 11 analyzes and 32 plans with 3
-    assert len(lines) == 11 * 8 + 11 * 3 + 32 * 3
+    # 11 simulates with 8 outputs, 11 analyzes and 32 plans with 3, then 2 full-length simulates
+    assert len(lines) == 11 * 8 + 11 * 3 + 32 * 3 + 2 * 8
     masked = b"0 hard deadline misses; outputs in <tmp>/runs/conveyor\n"
     assert digests["simulate conveyor stdout"] == hashlib.sha256(masked).hexdigest()
     assert digests["plan fault monte_carlo exit"] == hashlib.sha256(b"0").hexdigest()

@@ -389,8 +389,9 @@ CPU_IDS = ["cpu2", "cpu10", "CPU0", "b"]
 
 
 @st.composite
-def exec_models(draw, period):
-    mu = draw(st.integers(period // 20, (period * 3) // 5))
+def exec_models(draw, period, heaviest=None):
+    """Models of mean at most ``heaviest`` (0 included), else between 5 % and 60 % of the period."""
+    mu = draw(st.integers(period // 20, (period * 3) // 5) if heaviest is None else st.integers(0, heaviest))
     sigma = draw(st.sampled_from([0, mu // 10, mu // 4]))
     lo = draw(st.integers(mu // 2, mu))
     hi = draw(st.integers(mu, 2 * mu))
@@ -407,11 +408,14 @@ def simulated_systems(draw):
     resources = [ResourceState(id=rid, policy=draw(st.sampled_from(list(Policy))), u_max=1.0)
                  for rid in cpu_ids]
     task_ids = draw(st.permutations(TASK_IDS))[:draw(st.integers(1, 5))]
+    # one shared period and demands summing below it: jobs queue at each release and
+    # the completions of a CPU's jobs chain without a heap event between them
+    shared = draw(st.sampled_from([None, None, 2_000, 5_000]))
     tasks = []
     for tid in task_ids:
-        period = draw(st.sampled_from([2_000, 3_000, 5_000, 10_000]))
+        period = shared or draw(st.sampled_from([2_000, 3_000, 5_000, 10_000]))
         deadline = draw(st.sampled_from([period, period, (period * 3) // 4, period // 2]))
-        model = draw(exec_models(period))
+        model = draw(exec_models(period, shared and period // (4 * len(task_ids))))
         tasks.append(TaskSpec(id=tid, period_us=period, budget_us=min(model.mu_us, deadline),
                               exec_model=model, deadline_us=deadline))
     jitter = draw(st.sampled_from([(0.0, 0.0), (25.0, 0.0), (0.0, 30.0), (10.0, 15.5)]))
@@ -814,3 +818,129 @@ def test_a_later_release_preempts_the_job_an_earlier_release_just_started():
     assert [e for e in events if e[0] == 6_000] == [
         (6_000, "release", "a", "cpu0"), (6_000, "start", "a", "cpu0"), (6_000, "release", "b", "cpu0"),
         (6_000, "preempt", "a", "cpu0"), (6_000, "start", "b", "cpu0")]
+
+
+# The engine's fast paths: a release onto an idle CPU starts its job at once, a
+# release that cannot preempt only joins the ready queue, and a completion whose
+# successor ends before every heap event handles that completion too.  Each case
+# below checks the events against ``run_sim_reference``, which has no fast path.
+
+def test_release_onto_an_idle_cpu_starts_at_once():
+    events = _same_as_reference({"a": "cpu0"}, [fixed_task("a", 1_000, 300)], [edf_cpu()], duration_us=3_000)
+    assert events[:4] == [(0, "release", "a", "cpu0"), (0, "start", "a", "cpu0"),
+                          (300, "complete", "a", "cpu0"), (1_000, "release", "a", "cpu0")]
+
+
+def _first_interrupt_us(seed, duration_us):
+    """When the first interrupt lands on the one CPU of a run at ``seed``, at 200 interrupts a second."""
+    trace = run_sim_reference({"x": "cpu0"}, [fixed_task("x", duration_us, duration_us - 1)], [edf_cpu()],
+                              noise=NoiseModel(interference=Interference(200.0, 10)),
+                              duration_us=duration_us, seed=seed)
+    return next(e[0] for e in trace.events if e[1] == "preempt")
+
+
+def test_release_onto_an_idle_cpu_an_interrupt_blocks_waits():
+    # a's first job is done when the interrupt lands; its second, released 100 us into
+    # the 500 us block, starts when the block ends
+    first = _first_interrupt_us(7, 100_000)
+    tasks = [fixed_task("a", first + 100, 50)]
+    events = _same_as_reference({"a": "cpu0"}, tasks, [edf_cpu()], duration_us=first + 1_000,
+                                noise=NoiseModel(interference=Interference(200.0, 500)), seed=7)
+    assert events[3:6] == [(first + 100, "release", "a", "cpu0"), (first + 500, "start", "a", "cpu0"),
+                           (first + 550, "complete", "a", "cpu0")]
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_release_tying_the_running_job_does_not_preempt(policy):
+    # a and b tie on deadline and period, so the id decides: b waits for a; at 1 ms
+    # a's next job ties its overrunning one too, and the release time decides
+    tasks = [fixed_task("a", 1_000, 1_100), fixed_task("b", 1_000, 300)]
+    cpu = ResourceState(id="cpu0", policy=policy, u_max=1.0)
+    events = _same_as_reference({"a": "cpu0", "b": "cpu0"}, tasks, [cpu], duration_us=3_000)
+    assert not [e for e in events if e[1] == "preempt"]
+    assert [e for e in events if e[0] in (0, 1_000)] == [
+        (0, "release", "a", "cpu0"), (0, "start", "a", "cpu0"), (0, "release", "b", "cpu0"),
+        (1_000, "release", "a", "cpu0"), (1_000, "release", "b", "cpu0"),
+        (1_000, "deadline_miss", "a", "cpu0"), (1_000, "deadline_miss", "b", "cpu0")]
+    # EDF runs b's job, due first; RM runs a's, the task with the smaller id
+    after = "b" if policy is Policy.EDF else "a"
+    assert events[7:9] == [(1_100, "complete", "a", "cpu0"), (1_100, "start", after, "cpu0")]
+
+
+def test_chain_cut_by_a_release_at_its_end():
+    # b would end at 1 ms, when both tasks release again: the releases come first
+    tasks = [fixed_task("a", 1_000, 300), fixed_task("b", 1_000, 700)]
+    events = _same_as_reference({"a": "cpu0", "b": "cpu0"}, tasks, [edf_cpu()], duration_us=3_000)
+    assert [e for e in events if e[0] == 1_000] == [
+        (1_000, "release", "a", "cpu0"), (1_000, "release", "b", "cpu0"),
+        (1_000, "complete", "b", "cpu0"), (1_000, "start", "a", "cpu0")]
+
+
+def test_chain_cut_by_a_deadline_check_at_its_end():
+    # b ends at its deadline, 500, and c, due then too, misses after it starts
+    tasks = [fixed_task("a", 1_000, 200, deadline_us=500), fixed_task("b", 1_000, 300, deadline_us=500),
+             fixed_task("c", 1_000, 100, deadline_us=500)]
+    events = _same_as_reference({t.id: "cpu0" for t in tasks}, tasks, [edf_cpu()], duration_us=2_000)
+    assert [e for e in events if e[0] == 500] == [
+        (500, "complete", "b", "cpu0"), (500, "start", "c", "cpu0"), (500, "deadline_miss", "c", "cpu0")]
+
+
+def test_chain_cut_by_an_interference_start_at_its_end():
+    # b is sized to end when the first interrupt lands; c starts and is preempted at once
+    first = _first_interrupt_us(7, 100_000)
+    assert 1_000 < first < 90_000
+    tasks = [fixed_task("a", 100_000, 500), fixed_task("b", 100_000, first - 500), fixed_task("c", 100_000, 50)]
+    events = _same_as_reference({t.id: "cpu0" for t in tasks}, tasks, [edf_cpu()], duration_us=100_000,
+                                noise=NoiseModel(interference=Interference(200.0, 10)), seed=7)
+    assert [e for e in events if e[0] == first] == [
+        (first, "complete", "b", "cpu0"), (first, "start", "c", "cpu0"), (first, "preempt", "c", "cpu0")]
+
+
+def test_chain_cut_by_a_monitor_epoch_at_its_end():
+    # b ends at the first epoch, 1 ms, which then moves a to cpu1 and evicts c
+    tasks = [fixed_task("a", 5_000, 300), fixed_task("b", 5_000, 700), fixed_task("c", 5_000, 100)]
+    events = _same_as_reference({t.id: "cpu0" for t in tasks}, tasks, [edf_cpu("cpu0"), edf_cpu("cpu1")],
+                                duration_us=10_000, hook=(1_000, [({"a": "cpu1"}, {"c"})]))
+    assert [e for e in events if e[0] == 1_000] == [
+        (1_000, "complete", "b", "cpu0"), (1_000, "start", "c", "cpu0"), (1_000, "migrate", "a", "cpu1")]
+
+
+def test_zero_length_job_inside_a_chain():
+    zero = TaskSpec(id="b", period_us=1_000, budget_us=1,
+                    exec_model=ExecModel(mu_us=0, sigma_us=0, cutoff_lo_us=0, wcet_us=0))
+    tasks = [fixed_task("a", 1_000, 300), zero, fixed_task("c", 1_000, 200)]
+    events = _same_as_reference({t.id: "cpu0" for t in tasks}, tasks, [edf_cpu()], duration_us=2_000)
+    assert [e for e in events if 0 < e[0] < 1_000] == [
+        (300, "complete", "a", "cpu0"), (300, "start", "b", "cpu0"), (300, "complete", "b", "cpu0"),
+        (300, "start", "c", "cpu0"), (500, "complete", "c", "cpu0")]
+    assert run_sim({t.id: "cpu0" for t in tasks}, tasks, [edf_cpu()], duration_us=2_000).per_task_runtimes == {
+        "a": [300, 300], "b": [0, 0], "c": [200, 200]}
+
+
+@pytest.mark.parametrize("b_us, last", [(300, (1_500, "complete", "b", "cpu0")),
+                                        (301, (1_200, "start", "b", "cpu0"))])
+def test_chain_ending_on_the_last_instant(b_us, last):
+    # released at 1 ms, due after the end at 1.5 ms: nothing is in the heap, so b's
+    # completion chains onto a's and lands on the last instant, or just past it
+    tasks = [fixed_task("a", 1_000, 200), fixed_task("b", 1_000, b_us)]
+    events = _same_as_reference({"a": "cpu0", "b": "cpu0"}, tasks, [edf_cpu()], duration_us=1_500)
+    assert events[-1] == last
+
+
+def test_one_completion_event_per_period_on_table1(monkeypatch):
+    pushed = []
+    heappush = simulation.heapq.heappush
+
+    def counting(heap, item):
+        if len(item) == 6 and item[1] == simulation._R_COMPLETE:
+            pushed.append(item[0])
+        heappush(heap, item)
+
+    monkeypatch.setattr(simulation.heapq, "heappush", counting)
+    scenario = load_scenario(SCENARIO_DIR / "table1_4units.json")
+    trace = run_sim(scenario.initial_plan, scenario.tasks, scenario.resources, noise=scenario.sim.noise,
+                    duration_us=scenario.sim.duration_us, seed=scenario.sim.seed)
+    # four tasks of one period on one CPU: the first job of each period starts on its
+    # release and the other three chain onto it, so 2,400 jobs push 600 completions
+    assert sum(len(v) for v in trace.per_task_runtimes.values()) == 2_400
+    assert len(pushed) == 600
