@@ -417,14 +417,13 @@ def first_fit_plan(
     tasks: Sequence[TaskSpec],
     resources: Sequence[ResourceState],
     thresholds: Mapping[Criticality, float] = DEFAULT_THRESHOLDS,
-    fits: Mapping[str, NormalParams] | None = None,
 ) -> dict[str, str]:
-    """First-fit by declining utilization; raises InfeasibleError when a task fits nowhere."""
-    loads = [GroupLoad(res, fits) for res in resources]
+    """First-fit of the declared models by declining utilization; raises InfeasibleError when a task fits nowhere."""
+    loads = [GroupLoad(res) for res in resources]
     assignments: dict[str, str] = {}
     order = sorted(tasks, key=lambda t: (-utilization(t), t.id))
     for task in order:
-        terms = load_terms(task, fits)
+        terms = load_terms(task, None)
         for load in loads:
             if load.try_add(task, thresholds, terms):
                 assignments[task.id] = load.resource.id

@@ -144,28 +144,18 @@ def buffer(tasks: Iterable[TaskSpec]) -> float:
     return 1.0 - math.fsum(utilization(t) for t in tasks)
 
 
-def ks_statistic(samples: Sequence[float] | Sequence[Sequence[float]],
-                 params: NormalParams | Sequence[NormalParams]) -> float | list[float]:
-    """One-sample Kolmogorov-Smirnov distance between samples and N(mu, sigma).
+def ks_statistic(rows: Sequence[Sequence[float]], params: Sequence[NormalParams]) -> list[float]:
+    """One-sample Kolmogorov-Smirnov distance between each row and its own N(mu, sigma).
 
-    ``samples`` is one sample list and ``params`` its fit, or ``samples`` is
-    rows of one length and ``params`` one fit per row; then the result is a
-    list with each row's distance, the bits that row gets alone.  For a
-    degenerate fit (sigma == 0, constant stream) the distance is defined as 0.
+    The rows share one length and ``params`` holds one fit per row; each row
+    gets the bits it gets alone.  For a degenerate fit (sigma == 0, constant
+    stream) the distance is defined as 0.
     """
-    xs = np.asarray(samples, dtype=float)
-    if xs.ndim == 1:
-        return _ks_rows(xs[None], [params])[0]
-    return _ks_rows(xs, params)
-
-
-def _ks_rows(xs: np.ndarray, params: Sequence[NormalParams]) -> list[float]:
-    """``ks_statistic`` of each row of ``xs`` against its own fit."""
     out = [0.0] * len(params)
     live = [i for i, fit in enumerate(params) if fit.sigma != 0.0]
     if not live:
         return out
-    xs = np.sort(xs[live], axis=1)
+    xs = np.sort(np.asarray(rows, dtype=float)[live], axis=1)
     n = xs.shape[1]
     # tied samples share one CDF value, so Phi((x - mu) / sigma) is taken once
     # per run of ties in a row: D+ peaks at a run's last index and D- at its first
@@ -176,46 +166,22 @@ def _ks_rows(xs: np.ndarray, params: Sequence[NormalParams]) -> list[float]:
     scale = np.array([params[i].sigma for i in live])[:, None] * _SQRT2
     cdf = 0.5 * _erfc((-(xs - mu) / scale)[last])
     steps = np.broadcast_to(np.arange(1, n + 1) / n, xs.shape)
-    rows = np.append(0, np.cumsum(last.sum(axis=1))[:-1])  # each row's first run in cdf
-    d_plus = np.maximum.reduceat(steps[last] - cdf, rows)
-    d_minus = np.maximum.reduceat(cdf - (steps[first] - 1 / n), rows)
+    starts = np.append(0, np.cumsum(last.sum(axis=1))[:-1])  # each row's first run in cdf
+    d_plus = np.maximum.reduceat(steps[last] - cdf, starts)
+    d_minus = np.maximum.reduceat(cdf - (steps[first] - 1 / n), starts)
     for i, d in zip(live, np.maximum(d_plus, d_minus).tolist()):
         out[i] = d
     return out
 
 
-def fit_normal(samples: Sequence[float]) -> NormalParams:
-    """Sample mean and unbiased standard deviation.
-
-    A constant stream (one sample included) fits exactly, with sigma 0.
-    """
-    return fit_normals([samples])[0]
-
-
-def fit_normals(rows: Sequence[Sequence[float]]) -> list[NormalParams]:
-    """``fit_normal`` of each row, one NumPy reduction per statistic for all rows.
-
-    The rows must share one length.  Each row reduces along its own contiguous
-    axis, so a row fits to the same bits alone or stacked with others.
-    """
-    xs = np.asarray(rows, dtype=np.float64)
-    constant = (xs.min(axis=1) == xs.max(axis=1)).tolist()  # an empty row raises here
-    firsts = xs[:, 0].tolist()
-    if all(constant):  # also every one-sample row, whose ddof=1 spread is undefined
-        return [NormalParams(first, 0.0) for first in firsts]
-    mus = xs.mean(axis=1).tolist()
-    sigmas = xs.std(axis=1, ddof=1).tolist()
-    return [NormalParams(first, 0.0) if same else NormalParams(mu, sigma)
-            for first, same, mu, sigma in zip(firsts, constant, mus, sigmas)]
-
-
 def fit_tasks(samples: Mapping[K, Sequence[float]], score: bool = False) -> dict[K, tuple[NormalParams, float]]:
-    """``fit_normal`` of each entry's samples, with its ``ks_statistic`` when ``score`` (else nan).
+    """Mean and unbiased standard deviation of each entry, with its ``ks_statistic`` when ``score`` (else nan).
 
-    Entries with one sample count are stacked as the rows of one array, so
-    there is one ``fit_normals`` call and one ``ks_statistic`` call per
-    distinct count.  Each row fits and scores to the bits it gets alone.  The
-    result keeps the order of ``samples``.
+    A constant stream (one sample included) fits exactly, with sigma 0.  Entries
+    with one sample count are stacked as the rows of one array and reduced along
+    the rows' contiguous axis, so each row fits and scores to the bits it gets
+    alone, with one ``ks_statistic`` call per distinct count.  The result keeps
+    the order of ``samples``.
     """
     by_count: dict[int, list[K]] = {}
     for key, values in samples.items():
@@ -223,7 +189,15 @@ def fit_tasks(samples: Mapping[K, Sequence[float]], score: bool = False) -> dict
     out: dict[K, tuple[NormalParams, float]] = dict.fromkeys(samples)
     for keys in by_count.values():
         rows = np.asarray([samples[key] for key in keys], dtype=np.float64)
-        fits = fit_normals(rows)
+        constant = (rows.min(axis=1) == rows.max(axis=1)).tolist()  # an empty row raises here
+        firsts = rows[:, 0].tolist()
+        if all(constant):  # also every one-sample row, whose ddof=1 spread is undefined
+            fits = [NormalParams(first, 0.0) for first in firsts]
+        else:
+            mus = rows.mean(axis=1).tolist()
+            sigmas = rows.std(axis=1, ddof=1).tolist()
+            fits = [NormalParams(first, 0.0) if same else NormalParams(mu, sigma)
+                    for first, same, mu, sigma in zip(firsts, constant, mus, sigmas)]
         scores = ks_statistic(rows, fits) if score else [math.nan] * len(keys)
         out.update(zip(keys, zip(fits, scores)))
     return out
@@ -231,7 +205,7 @@ def fit_tasks(samples: Mapping[K, Sequence[float]], score: bool = False) -> dict
 
 @dataclass
 class StreamingFit:
-    """Runtime samples, given at once or added one at a time, fitted with ``fit_normal``.
+    """Runtime samples, given at once or added one at a time, fitted with ``fit_tasks``.
 
     Samples are retained so ``to_normal`` can score the fit with a KS
     statistic; memory grows linearly with the stream (fine for analysis runs,
@@ -249,11 +223,11 @@ class StreamingFit:
 
     @property
     def mean(self) -> float:
-        return fit_normal(self.samples).mu
+        return fit_tasks({0: self.samples})[0][0].mu
 
     @property
     def stddev(self) -> float:
-        return fit_normal(self.samples).sigma
+        return fit_tasks({0: self.samples})[0][0].sigma
 
     def to_normal(self) -> tuple[NormalParams, float]:
         """Fitted NormalParams plus KS goodness-of-fit (smaller is better)."""

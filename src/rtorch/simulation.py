@@ -608,7 +608,7 @@ def _read_lines(text: str) -> dict[str, list[int]]:
     """The line loop: reads any text, and words every error with its line number."""
     lines = text.split("\n")
     header = lines[0].strip()
-    if header != "task,runtime_us":
+    if header != _HEADER.rstrip("\n"):
         raise ValueError(f"unexpected runtimes header: {header!r}")
     out: dict[str, list[int]] = {}
     task = samples = None  # rows come grouped by task, so the last list is usually the one

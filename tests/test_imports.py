@@ -48,7 +48,10 @@ OTHER_CODE = sorted({p for d in ("src", "scripts", "perfbench") for p in (REPO_R
 DEAD_BY_DESIGN = {
     "admission.edf_bound": "criterion 03: the EDF bound the utilization test states",
     "reporting.histogram_modes": "criterion 06: runtime histogram shapes",
+    "probability.buffer": "criterion 01: exact buffer arithmetic",
 }
+# The file that names rtorch functions as strings, in (module, name, ...) tables and getattr calls.
+TRACING = "perfbench/tracing.py"
 
 
 def public_definitions(source: str) -> list[tuple[str, int, int]]:
@@ -67,24 +70,95 @@ def public_definitions(source: str) -> list[tuple[str, int, int]]:
     return found
 
 
+def dotted(node: ast.AST) -> str | None:
+    """``a.b.c`` for a chain of attributes on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return None
+
+
+def mentions(where: str, source: str) -> list[tuple[str, str, int]]:
+    """(module, name, line) of each use of an rtorch name in the file ``where``.
+
+    A use is a name load in the module itself, ``from rtorch.module import name``
+    (relative inside the package), ``alias.name`` where the alias is an imported
+    rtorch module, or a string name in the tracing file's tables and getattr calls.
+    A local variable, keyword argument or field that shares a name is no use.
+    """
+    tree = ast.parse(source)
+    found = []
+    aliases = {}  # dotted local name -> the rtorch module it is bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("rtorch."):
+                    aliases[alias.asname or alias.name] = alias.name.removeprefix("rtorch.")
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module + ".").startswith("rtorch.")):
+            module = node.module if node.level else node.module.removeprefix("rtorch").lstrip(".") or None
+            for alias in node.names:
+                if module is None:  # from rtorch import module
+                    aliases[alias.asname or alias.name] = alias.name
+                else:
+                    found.append((module, alias.name, node.lineno))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):  # counts for module ``where`` only
+            found.append((where, node.id, node.lineno))
+        elif isinstance(node, ast.Attribute) and dotted(node.value) in aliases:
+            found.append((aliases[dotted(node.value)], node.attr, node.lineno))
+        elif where == TRACING and isinstance(node, ast.Tuple) and len(node.elts) >= 2:
+            module, name = (getattr(elt, "value", None) for elt in node.elts[:2])
+            if isinstance(module, str) and isinstance(name, str):
+                found.append((module, name, node.lineno))
+        elif where == TRACING and isinstance(node, ast.Call) and dotted(node.func) == "getattr":
+            target, name = node.args[:2]
+            if isinstance(target, ast.Subscript) and isinstance(name, ast.Constant):
+                found.append((getattr(target.slice, "value", None), name.value, node.lineno))
+    return found
+
+
 def dead_names(modules: dict[str, str], searched: dict[str, str]) -> list[str]:
     """``module.name`` for each public name of ``modules`` (module name -> source) that no
-    text in ``searched`` (module name -> source) mentions as a whole word outside the
-    name's own definition."""
+    file in ``searched`` (module name or path -> source) uses, by ``mentions``, outside
+    the name's own definition."""
+    lines: dict[tuple[str, str], list[int | None]] = {}  # (module, name) -> line in the module, or None
+    for where, text in searched.items():
+        for module, name, line in mentions(where, text):
+            lines.setdefault((module, name), []).append(line if where == module else None)
     dead = []
     for module, source in modules.items():
         for name, first, last in public_definitions(source):
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            if not any(not (where == module and first <= text.count("\n", 0, match.start()) + 1 <= last)
-                       for where, text in searched.items() for match in word.finditer(text)):
+            if not any(line is None or not first <= line <= last for line in lines.get((module, name), [])):
                 dead.append(f"{module}.{name}")
     return dead
 
 
 def test_dead_name_checker_skips_a_name_own_definition():
     module = "def used():\n    return 1\n\n\ndef unused():\n    return unused\n\n\nX = used()\n_private = 0\n"
-    searched = {"m": module, "other": "print(m.X, unused_too)\n"}
+    searched = {"m": module, "other": "import rtorch.m as m\nprint(m.X, unused_too)\n"}
     assert dead_names({"m": module}, searched) == ["m.unused"]
+
+
+def test_dead_name_checker_counts_imports_and_module_attributes_not_same_named_locals():
+    module = "def buffer():\n    return 1\n\n\ndef imported():\n    return 2\n\n\ndef attribute():\n    return 3\n"
+    other = (
+        "from dataclasses import dataclass\n"
+        "from rtorch.m import imported\n"
+        "from rtorch import m\n"
+        "@dataclass\nclass Verdict:\n    buffer: float\n"
+        "buffer = 1.0\n"
+        "print(buffer, Verdict(buffer=buffer).buffer, imported, m.attribute)\n"
+    )
+    assert dead_names({"m": module}, {"m": module, "other": other}) == ["m.buffer"]
+    for user in ("from .m import buffer\n", "import rtorch.m\nrtorch.m.buffer()\n",
+                 "import rtorch.m as mm\nmm.buffer()\n"):
+        assert dead_names({"m": module}, {"m": module, "other": other + user}) == [], user
+    traced = {TRACING: 'SPANS = (("m", "buffer", "m.buffer", None),)\n'}
+    assert dead_names({"m": module}, {"m": module, "other": other, **traced}) == []
+    traced = {TRACING: 'fn = getattr(modules["m"], "buffer", None)\n'}
+    assert dead_names({"m": module}, {"m": module, "other": other, **traced}) == []
 
 
 def test_every_public_name_is_used_outside_its_definition():

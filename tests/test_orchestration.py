@@ -29,7 +29,7 @@ from rtorch.orchestration import (
     victim_order,
     window_fits,
 )
-from rtorch.probability import MIN_FIT_SAMPLES, NormalParams, fit_normal, joint_utilization, miss_probability
+from rtorch.probability import MIN_FIT_SAMPLES, NormalParams, fit_tasks, joint_utilization, miss_probability
 from rtorch.scenario import parse_scenario
 from rtorch.simulation import PlanUpdate, run_sim
 
@@ -454,7 +454,7 @@ def test_stacked_window_fits_equal_per_task_fits_bit_for_bit(streams, fit_window
     windows = {tid: s[-fit_window:] for tid, s in streams.items() if min(len(s), fit_window) >= MIN_FIT_SAMPLES}
     assert fits.keys() == windows.keys()
     for tid, window in windows.items():
-        assert fits[tid] == fit_normal(window) == NormalParams(*fit_normal_reference(window))
+        assert fits[tid] == fit_tasks({0: window})[0][0] == NormalParams(*fit_normal_reference(window))
 
 
 def test_first_fit_packs_by_declining_utilization():
@@ -477,19 +477,17 @@ def test_first_fit_raises_when_nothing_fits():
 
 @st.composite
 def first_fit_systems(draw):
-    """EDF/RM CPUs of three ceilings, mixed criticality, optional fits, and
-    deterministic tenths of a CPU that fill a ceiling of 1.0 or 0.9 exactly."""
+    """EDF/RM CPUs of three ceilings, mixed criticality, and deterministic
+    tenths of a CPU that fill a ceiling of 1.0 or 0.9 exactly."""
     resources = [
         ResourceState(id=f"cpu{i}", policy=draw(st.sampled_from(list(Policy))),
                       u_max=draw(st.sampled_from([1.0, 0.9, 0.69])),
                       criticality=draw(st.sampled_from(list(Criticality))))
         for i in range(draw(st.integers(1, 4)))
     ]
-    with_fits = draw(st.booleans())
     n_tenths = draw(st.sampled_from([0, 9, 10, 11]))
     tasks = [mk_task(f"d{i}", 10_000, 1_000, crit=draw(st.sampled_from(list(Criticality))), mu_us=1_000)
              for i in range(n_tenths)]
-    fits = {}
     for i in range(draw(st.integers(0 if n_tenths else 1, 6))):
         crit = draw(st.sampled_from(list(Criticality)))
         period = draw(st.sampled_from([10_000, 50_000, 100_000]))
@@ -497,11 +495,8 @@ def first_fit_systems(draw):
         mu = round(budget * draw(st.floats(0.3, 1.0)))
         tasks.append(mk_task(f"t{i}", period, budget, crit=crit, mu_us=mu,
                              sigma_us=round(mu * draw(st.floats(0.0, 0.3)))))
-        if with_fits and draw(st.booleans()):
-            fit_mu = budget * draw(st.floats(0.3, 1.4))
-            fits[f"t{i}"] = NormalParams(fit_mu, fit_mu * draw(st.floats(0.0, 0.3)))
     thresholds = draw(st.sampled_from([DEFAULT_THRESHOLDS, RELAXED]))
-    return tasks, resources, thresholds, fits if with_fits else None
+    return tasks, resources, thresholds
 
 
 @settings(max_examples=80, deadline=None)

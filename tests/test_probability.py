@@ -10,7 +10,6 @@ from rtorch.probability import (
     NormalParams,
     StreamingFit,
     buffer,
-    fit_normal,
     fit_tasks,
     joint_utilization,
     ks_statistic,
@@ -144,7 +143,7 @@ def test_joint_permutation_invariant(order):
     [0.1] * 1_000,
 ], ids=["float", "int", "n1", "n2", "constant_int", "constant_float"])
 def test_fit_normal_matches_two_pass(samples):
-    fit = fit_normal(samples)
+    fit = fit_tasks({0: samples})[0][0]
     mean, var = two_pass_stats(samples)
     assert fit.mu == pytest.approx(mean, rel=1e-12)
     assert fit.sigma ** 2 == pytest.approx(var, rel=1e-12, abs=1e-24)
@@ -176,6 +175,20 @@ def test_streaming_fit_order_insensitive_mean():
         fits.append(fit.mean)
     assert fits[1] == pytest.approx(fits[0], rel=1e-9)
     assert fits[2] == pytest.approx(fits[0], rel=1e-9)
+
+
+@pytest.mark.parametrize("samples", [
+    np.random.default_rng(9).normal(700.0, 30.0, 500).tolist(),
+    [3, 1, 3, 2, 1, 1, 3] * 5,
+    [42.0] * 40,
+], ids=["float", "ties", "constant"])
+def test_streaming_fit_is_fit_tasks_bit_for_bit(samples):
+    fit = StreamingFit()
+    for x in samples:
+        fit.update(x)
+    params, distance = fit_tasks({0: samples}, score=True)[0]
+    assert (fit.mean, fit.stddev) == (params.mu, params.sigma)
+    assert fit.to_normal() == (params, distance)
 
 
 def test_fit_insufficient_samples():
@@ -215,7 +228,7 @@ def test_fit_constant_stream_is_degenerate():
 def test_ks_statistic_perfect_fit_small():
     rng = np.random.default_rng(5)
     xs = rng.normal(0.0, 1.0, 50_000)
-    d = ks_statistic(xs, NormalParams(0.0, 1.0))
+    d = ks_statistic([xs], [NormalParams(0.0, 1.0)])[0]
     # expected O(1/sqrt(n))
     assert d < 0.01
 
@@ -304,14 +317,14 @@ def test_breach_cutoffs_are_cached():
        st.floats(0.05, 10.0))
 def test_ks_statistic_matches_per_element_reference_on_ties(samples, mu, sigma):
     params = NormalParams(mu, sigma)
-    assert abs(ks_statistic(samples, params) - ks_statistic_reference(samples, params)) <= 1e-15
+    assert abs(ks_statistic([samples], [params])[0] - ks_statistic_reference(samples, params)) <= 1e-15
 
 
 def test_ks_statistic_takes_one_tail_per_distinct_value(monkeypatch):
     calls = []
     erfc = math.erfc
     monkeypatch.setattr(math, "erfc", lambda x: calls.append(x) or erfc(x))
-    ks_statistic([3, 1, 3, 2, 1, 1, 3], NormalParams(2.0, 1.0))
+    ks_statistic([[3, 1, 3, 2, 1, 1, 3]], [NormalParams(2.0, 1.0)])
     assert len(calls) == 3
 
 
@@ -324,7 +337,7 @@ def test_ks_statistic_of_stacked_rows_takes_one_tail_per_distinct_value_per_row(
     distances = ks_statistic(rows, fits)
     assert len(calls) == 3 + 4  # the constant row's distance is 0 by definition
     monkeypatch.undo()
-    assert distances == [ks_statistic(row, fit) for row, fit in zip(rows, fits)]
+    assert distances == [ks_statistic([row], [fit])[0] for row, fit in zip(rows, fits)]
 
 
 @st.composite
@@ -346,8 +359,8 @@ def test_fit_tasks_gives_each_task_the_fit_and_distance_of_its_row_alone(rows):
     assert list(scored) == list(samples)
     for tid, row in samples.items():
         fit, distance = scored[tid]
-        assert fit == fit_normal(row) == NormalParams(*fit_normal_reference(row))
-        assert distance == ks_statistic(row, fit)
+        assert fit == fit_tasks({0: row})[0][0] == NormalParams(*fit_normal_reference(row))
+        assert distance == ks_statistic([row], [fit])[0]
         if fit.sigma == 0.0:
             assert distance == 0.0
         else:
