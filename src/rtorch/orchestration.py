@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
@@ -404,7 +404,11 @@ class OrchestratorHook:
         self.records.append({
             "time_us": snapshot.now_us,
             "per_resource": {e.resource: e.miss_prob for e in evals},
-            "decision": asdict(decision) if decision is not None else None,
+            "decision": None if decision is None else {
+                "moved": decision.moved,
+                "trigger": decision.trigger,
+                "evicted_best_effort": decision.evicted_best_effort,
+            },
         })
         if decision is None or not decision.moved:
             return None

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import asdict, dataclass, replace
 from itertools import takewhile
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,18 +38,26 @@ class RunReport:
     group_avg_us: float
     skw: tuple[int, int]
     sd_mx_us: float
-    histogram: Mapping[str, list[tuple[int, int, int]]]  # (bin_lo, bin_hi, count)
+    # (lowest bin edge, counts): bin i spans [lo + i * bin_width_us, lo + (i + 1) * bin_width_us)
+    histogram: Mapping[str, tuple[int, array]]
     bin_width_us: int
 
 
-def _bin_runtimes(samples: Sequence[int], bin_width: int) -> list[tuple[int, int, int]]:
-    lo0 = (min(samples) // bin_width) * bin_width
-    n_bins = (max(samples) - lo0) // bin_width + 1
-    if n_bins == 1:  # also keeps a bin width past int64 out of NumPy
-        return [(lo0, lo0 + bin_width, len(samples))]
-    counts = np.bincount((np.asarray(samples) - lo0) // bin_width).tolist()
-    return list(zip(range(lo0, lo0 + n_bins * bin_width, bin_width),
-                    range(lo0 + bin_width, lo0 + (n_bins + 1) * bin_width, bin_width), counts))
+def _bin_runtimes(column: np.ndarray, bin_width: int) -> tuple[int, array]:
+    lo0 = (int(column.min()) // bin_width) * bin_width
+    if int(column.max()) - lo0 < bin_width:  # one bin; also keeps a bin width past int64 out of NumPy
+        return lo0, array("q", [len(column)])
+    return lo0, array("q", np.bincount((column - lo0) // bin_width).astype(np.int64).tobytes())
+
+
+def _bin_fields(lo: int, width: int, counts: Sequence, values: Iterable) -> tuple:
+    """``(bin_lo, bin_hi, value)`` of each bin, flattened for one ``%`` format."""
+    n = len(counts)
+    fields = [None] * (3 * n)
+    fields[0::3] = range(lo, lo + n * width, width)
+    fields[1::3] = range(lo + width, lo + (n + 1) * width, width)
+    fields[2::3] = values
+    return tuple(fields)
 
 
 def build_report(trace: SimTrace, bin_width_us: int = 10) -> RunReport:
@@ -58,16 +67,17 @@ def build_report(trace: SimTrace, bin_width_us: int = 10) -> RunReport:
     for tid, samples in runtimes.items():
         if not samples:
             raise ValueError(f"task '{tid}' completed no jobs")
+    columns = {tid: np.asarray(samples) for tid, samples in runtimes.items()}
     per_task = {
         tid: TaskStats(
-            count=len(runtimes[tid]),
+            count=len(columns[tid]),
             mean_us=fit.mu,
             stddev_us=fit.sigma,
-            min_us=min(runtimes[tid]),
-            max_us=max(runtimes[tid]),
+            min_us=int(columns[tid].min()),
+            max_us=int(columns[tid].max()),
             miss_count=misses[tid],
         )
-        for tid, (fit, _) in fit_tasks(runtimes).items()
+        for tid, (fit, _) in fit_tasks(columns).items()
     }
 
     means = {tid: s.mean_us for tid, s in per_task.items()}
@@ -76,10 +86,7 @@ def build_report(trace: SimTrace, bin_width_us: int = 10) -> RunReport:
     skw = (round(min(deviations.values())), round(max(deviations.values())))
     # the task whose mean strays furthest from the group; ties resolve by id
     worst = max(deviations, key=lambda tid: (deviations[tid], tid))
-    histogram = {
-        tid: _bin_runtimes(samples, bin_width_us)
-        for tid, samples in trace.per_task_runtimes.items()
-    }
+    histogram = {tid: _bin_runtimes(column, bin_width_us) for tid, column in columns.items()}
     return RunReport(
         per_task=per_task,
         group_avg_us=group_avg,
@@ -94,10 +101,11 @@ def export_histogram(report: RunReport, path) -> None:
     """CSV of per-task relative bin counts; each task's rel_count column sums to 1."""
     with open(path, "w", newline="") as fh:
         fh.write("task,bin_lo_us,bin_hi_us,rel_count\n")
-        for tid, bins in report.histogram.items():
+        for tid, (lo, counts) in report.histogram.items():
             total = report.per_task[tid].count
-            rel = {count: repr(count / total) for count in {count for _, _, count in bins}}
-            fh.write("".join([f"{tid},{lo},{hi},{rel[count]}\n" for lo, hi, count in bins]))
+            rel = {count: repr(count / total) for count in set(counts)}
+            fields = _bin_fields(lo, report.bin_width_us, counts, map(rel.__getitem__, counts))
+            fh.write((tid.replace("%", "%%") + ",%d,%d,%s\n") * len(counts) % fields)
 
 
 # one histogram bin as json.dump(indent=2) lays it out, three levels down
@@ -106,7 +114,8 @@ _HISTOGRAM_SLOT = '\n  "histogram": null'
 
 
 def write_report_json(report: RunReport, path) -> None:
-    """Write ``asdict(report)`` as ``json.dump(indent=2, sort_keys=True)`` does, plus a newline.
+    """Write ``asdict(report)`` as ``json.dump(indent=2, sort_keys=True)`` does, plus a newline,
+    with each task's histogram as its list of ``[bin_lo, bin_hi, count]`` bins.
 
     The keys are the field names of ``RunReport`` and ``TaskStats``.  Everything
     but the histogram goes through ``json.dumps``; the histogram is written task
@@ -121,11 +130,12 @@ def write_report_json(report: RunReport, path) -> None:
         fh.write('\n  "histogram": ')
         sep = "{"
         for tid in sorted(report.histogram):
-            bins = report.histogram[tid]
+            lo, counts = report.histogram[tid]
             fh.write(f"{sep}\n    {json.dumps(tid)}: ")
-            if bins:
+            if counts:
                 fh.write("[\n")
-                fh.write(",\n".join([_BIN_JSON % (lo, hi, count) for lo, hi, count in bins]))
+                fields = _bin_fields(lo, report.bin_width_us, counts, counts)
+                fh.write(",\n".join([_BIN_JSON] * len(counts)) % fields)
                 fh.write("\n    ]")
             else:
                 fh.write("[]")

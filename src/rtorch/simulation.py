@@ -3,8 +3,8 @@
 Time is integer microseconds throughout, which keeps event ordering exact and
 runs byte-for-byte reproducible from (inputs, seed).  ``SeedSequence(seed)``
 gives each task its own demand streams (``demand_stream``) and each CPU its own
-interference gaps, so a task's j-th demand depends only on the seed, the task's
-rank in sorted-id order and j.  Events are processed in a total order:
+interference gaps (``gap_stream``), so a task's j-th demand depends only on the
+seed, the task's rank in sorted-id order and j.  Events are processed in a total order:
 
     (timestamp, kind rank, id, insertion counter)
 
@@ -29,7 +29,8 @@ running to completion; the miss is still recorded the moment the deadline
 passes with work outstanding.
 
 The trace is two ``array('q')`` columns, 16 bytes an event: the times, and one
-code per event packing its kind, task and CPU (see ``SimTrace``).
+code per event packing its kind, task and CPU (see ``SimTrace``).  Each task's
+runtimes are one more ``array('q')`` column.
 """
 from __future__ import annotations
 
@@ -109,6 +110,9 @@ _task_rank = attrgetter("task")
 class SimTrace:
     """Everything a run produced: ordered events plus per-job measured runtimes.
 
+    ``per_task_runtimes`` holds each task's runtimes as an ``array('q')``
+    column, in completion order.
+
     Event i happened at ``times[i]``.  ``codes[i]`` is
     ``(task << len(cpu_ids).bit_length() | cpu) << 3 | kind``, with ``task`` an
     index into ``task_ids``, ``cpu`` into ``cpu_ids`` and ``kind`` into
@@ -116,7 +120,7 @@ class SimTrace:
     resource)`` tuples.
     """
 
-    per_task_runtimes: dict[str, list[int]]
+    per_task_runtimes: dict[str, array]
     times: array
     codes: array
     task_ids: tuple[str, ...]
@@ -194,7 +198,7 @@ class SimSnapshot:
     assignments: Mapping[str, str]
     evicted: frozenset[str]
     next_deadline_us: Mapping[str, int]
-    runtimes: Mapping[str, Sequence[int]]
+    runtimes: Mapping[str, array]  # the run's live runtime columns
 
 
 @dataclass(frozen=True)
@@ -217,7 +221,7 @@ class SimHook(Protocol):
     def __call__(self, snapshot: SimSnapshot) -> Optional[PlanUpdate]: ...
 
 
-_DEMAND_BLOCK = 256  # demands per NumPy call; the values do not depend on it
+_DEMAND_BLOCK = 256  # demands (and interference gaps) per NumPy call; the values do not depend on it
 _EXACT = 2**52  # below this, integer-valued float64 sums are exact
 
 
@@ -261,6 +265,15 @@ def demand_stream(model: ExecModel, noise: NoiseModel, seed: np.random.SeedSeque
         else:  # demands past float precision: clamp and add as Python integers
             for r, j in zip(runtime.tolist(), np.broadcast_to(jitter, n).tolist()):
                 yield min(max(int(r), lo), hi) + offset + int(j)
+
+
+def gap_stream(seed: np.random.SeedSequence, scale: float) -> Iterator[int]:
+    """Yield a CPU's interference gaps: exponential draws of mean ``scale`` from
+    a PCG64 seeded by ``seed``, rounded half to even and at least 1, drawn
+    ``_DEMAND_BLOCK`` at a time (the gaps do not depend on the block size)."""
+    exponential = np.random.Generator(np.random.PCG64(seed)).exponential
+    while True:
+        yield from [max(1, round(gap)) for gap in exponential(scale, _DEMAND_BLOCK).tolist()]
 
 
 class _Cpu:
@@ -330,8 +343,8 @@ def run_sim(
     # the one copy of placement and eviction; open jobs live only in the CPU queues
     where = [cpu_map[plan[tid]] for tid in ids]
     demoted = [0] * len(ids)
-    runtimes: dict[str, list[int]] = {t.id: [] for t in tasks}
-    samples = [runtimes[tid] for tid in ids]
+    runtimes = {t.id: array("q") for t in tasks}
+    add_runtime = [runtimes[tid].append for tid in ids]
 
     # the trace columns: each event appends its time and its code (see SimTrace)
     times, codes = array("q"), array("q")
@@ -435,10 +448,9 @@ def run_sim(
     if ifr is not None:
         magnitude = ifr.magnitude_us
         scale = 1e6 / ifr.rate_per_s
-        exponential = [np.random.Generator(np.random.PCG64(s)).exponential
-                       for s in cpu_seeds.spawn(len(cpu_rank))]
+        gap = [gap_stream(s, scale).__next__ for s in cpu_seeds.spawn(len(cpu_rank))]
         for r in resources:
-            first = max(1, int(round(exponential[cpu_rank[r.id]](scale))))
+            first = gap[cpu_rank[r.id]]()
             if first < duration_us:
                 cpu = cpu_map[r.id]
                 heappush(heap, (first, _R_IFR_START, cpu.index, next(counter), cpu, 0))
@@ -498,7 +510,7 @@ def run_sim(
                 obj.done = True
                 stamp(now)
                 record(obj.code + _K_COMPLETE)
-                samples[obj.task].append(now - obj.measure_start_us)
+                add_runtime[obj.task](now - obj.measure_start_us)
                 if not ready:
                     cpu.running = None
                     cpu.seq += 1
@@ -534,7 +546,7 @@ def run_sim(
                     preempt(cpu, now)
                 cpu.blocked_until = now + magnitude
             heappush(heap, (cpu.blocked_until, _R_IFR_END, tie, next(counter), cpu, 0))
-            nxt = now + max(1, int(round(exponential[tie](scale))))
+            nxt = now + gap[tie]()
             if nxt < duration_us:
                 heappush(heap, (nxt, _R_IFR_START, tie, next(counter), cpu, 0))
 

@@ -83,7 +83,7 @@ def two_pass_stats(samples) -> tuple[float, float]:
 
 
 def fit_normal_reference(samples) -> tuple[float, float]:
-    """``fit_normal`` on one 1-D array, before windows were fitted as stacked rows."""
+    """``fit_tasks({0: samples})[0][0]`` computed on one 1-D array, not on stacked rows."""
     xs = np.asarray(samples, dtype=np.float64)
     if xs.min() == xs.max():
         return float(xs[0]), 0.0
@@ -285,7 +285,7 @@ def run_sim_reference(
     gap_rngs = {rid: np.random.default_rng(child)
                 for rid, child in zip(sorted(cpu_map), cpu_root.spawn(len(cpu_map)))}
     events: list[tuple[int, str, str, str]] = []
-    runtimes: dict[str, list[int]] = {t.id: [] for t in tasks}
+    runtimes = {t.id: array("q") for t in tasks}
     open_jobs: dict[str, list[ReferenceJob]] = {t.id: [] for t in tasks}
     next_release: dict[str, int] = {t.id: 0 for t in tasks}
     evicted: set[str] = set()

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from array import array
 from collections import Counter
 from dataclasses import asdict
 
@@ -429,18 +430,21 @@ def test_window_fit_accepts_numpy_integers():
 
 @st.composite
 def runtime_streams(draw):
-    """Per-task runtime lists of mixed lengths: windows still filling, full ones, constant rows."""
+    """Per-task runtime lists of mixed lengths: windows still filling, full ones, constant rows,
+    and values within 64 of 2**53 or -2**53."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     streams = {}
     for i in range(draw(st.integers(1, 10))):
         n = draw(st.sampled_from([0, 1, 29, 30, 80, 129, 1_024, 1_500, 4_096]) | st.integers(0, 300))
-        kind = draw(st.sampled_from(["normal", "narrow", "constant", "huge"]))
+        kind = draw(st.sampled_from(["normal", "narrow", "constant", "huge", "edge"]))
         if kind == "constant":
             samples = [draw(st.integers(0, 2**52))] * n
         elif kind == "narrow":  # mostly one value, so a window may be constant or not
             samples = (10_000 + (rng.random(n) < 0.01)).tolist()
         elif kind == "huge":
             samples = rng.integers(2**51, 2**52, n).tolist()
+        elif kind == "edge":
+            samples = (draw(st.sampled_from([1, -1])) * rng.integers(2**53 - 64, 2**53, n, endpoint=True)).tolist()
         else:
             samples = np.rint(rng.normal(draw(st.integers(100, 10**9)), 50.0, n)).astype(int).tolist()
         streams[f"t{i}"] = samples
@@ -455,6 +459,17 @@ def test_stacked_window_fits_equal_per_task_fits_bit_for_bit(streams, fit_window
     assert fits.keys() == windows.keys()
     for tid, window in windows.items():
         assert fits[tid] == fit_tasks({0: window})[0][0] == NormalParams(*fit_normal_reference(window))
+
+
+@settings(max_examples=100, deadline=None)
+@given(runtime_streams(), st.sampled_from([30, 64, 80, 129, 1_024, 2_048]))
+def test_runtime_columns_fit_bit_for_bit_as_lists(streams, fit_window):
+    # the engine's runtimes are array('q') columns; analyze and hand-built inputs are lists
+    columns = {tid: array("q", samples) for tid, samples in streams.items()}
+    assert repr(window_fits(columns, fit_window)) == repr(window_fits(streams, fit_window))
+    filled = [tid for tid, samples in streams.items() if samples]
+    assert (repr(fit_tasks({tid: columns[tid] for tid in filled}, score=True))
+            == repr(fit_tasks({tid: streams[tid] for tid in filled}, score=True)))
 
 
 def test_first_fit_packs_by_declining_utilization():

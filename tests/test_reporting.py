@@ -1,7 +1,8 @@
 import json
 import math
 import tempfile
-from dataclasses import asdict
+from array import array
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,19 @@ from rtorch.reporting import (
 )
 
 from oracles import histogram_modes_reference, trace_of, two_pass_stats
+
+
+def make_bins(counts, bin_width=10, start=0):
+    return [
+        (start + i * bin_width, start + (i + 1) * bin_width, c)
+        for i, c in enumerate(counts)
+    ]
+
+
+def expanded(report):
+    """``asdict(report)`` with each task's ``(lo, counts)`` histogram as its ``(lo, hi, count)`` bins."""
+    histogram = {tid: make_bins(counts, report.bin_width_us, lo) for tid, (lo, counts) in report.histogram.items()}
+    return {**asdict(replace(report, histogram={})), "histogram": histogram}
 
 
 def trace_with_means():
@@ -77,7 +91,7 @@ def test_miss_counts_flow_into_stats():
 def test_histogram_conserves_counts_and_covers_samples(samples, bin_width):
     trace = trace_of([], {"a": samples})
     report = build_report(trace, bin_width_us=bin_width)
-    bins = report.histogram["a"]
+    bins = expanded(report)["histogram"]["a"]
     assert sum(c for _, _, c in bins) == len(samples)
     assert all(hi - lo == bin_width for lo, hi, _ in bins)
     assert all(lo % bin_width == 0 for lo, _, _ in bins)
@@ -108,7 +122,7 @@ def test_report_json_round_trips(tmp_path):
     path = tmp_path / "report.json"
     write_report_json(report, path)
     loaded = json.loads(path.read_text())
-    assert loaded == json.loads(json.dumps(asdict(report)))
+    assert loaded == json.loads(json.dumps(expanded(report)))
     assert loaded["skw"] == [1, 9]
     assert loaded["per_task"]["u1"]["count"] == 2
 
@@ -131,8 +145,7 @@ def run_reports(draw):
     histogram = {}
     for tid in ids:
         lo0 = draw(st.integers(-1_000, 10**6)) * width
-        histogram[tid] = [(lo0 + i * width, lo0 + (i + 1) * width, c)
-                          for i, c in enumerate(draw(st.lists(counts, max_size=6)))]
+        histogram[tid] = (lo0, array("q", draw(st.lists(counts, max_size=6))))
     return RunReport(per_task=per_task, group_avg_us=draw(st.floats()),
                      skw=(draw(counts), draw(counts)), sd_mx_us=draw(st.floats()),
                      histogram=histogram, bin_width_us=width)
@@ -145,9 +158,34 @@ def test_report_json_equals_json_dump(report):
         path, expected = Path(tmp) / "report.json", Path(tmp) / "expected.json"
         write_report_json(report, path)
         with open(expected, "w") as fh:
-            json.dump(asdict(report), fh, indent=2, sort_keys=True)
+            json.dump(expanded(report), fh, indent=2, sort_keys=True)
             fh.write("\n")
         assert path.read_bytes() == expected.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from([*AWKWARD_IDS, "100%", "%d%s"]) | st.text(max_size=4),
+        st.tuples(st.sampled_from([0, 2**53 - 5_000, -2**53]), st.lists(st.integers(0, 5_000), min_size=1, max_size=300)),
+        min_size=1, max_size=5,
+    ),
+    st.sampled_from([1, 7, 10, 10**30]),
+)
+def test_a_column_trace_writes_the_files_of_a_list_trace(drawn, width):
+    runtimes = {tid: [base + offset for offset in offsets] for tid, (base, offsets) in drawn.items()}
+    outputs = []
+    for per_task in (runtimes, {tid: array("q", samples) for tid, samples in runtimes.items()}):
+        report = build_report(trace_of([], per_task), bin_width_us=width)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_report_json(report, Path(tmp) / "report.json")
+            export_histogram(report, Path(tmp) / "histogram.csv")
+            with open(Path(tmp) / "histogram.csv", newline="") as fh:
+                outputs.append(((Path(tmp) / "report.json").read_bytes(), fh.read()))
+    assert outputs[0] == outputs[1]
+    bins = expanded(report)["histogram"]
+    assert outputs[0][1] == "task,bin_lo_us,bin_hi_us,rel_count\n" + "".join(
+        f"{tid},{lo},{hi},{count / len(runtimes[tid])!r}\n" for tid in runtimes for lo, hi, count in bins[tid])
 
 
 def test_single_task_group_has_zero_skew():
@@ -155,13 +193,6 @@ def test_single_task_group_has_zero_skew():
     report = build_report(trace)
     assert report.skw == (0, 0)
     assert report.sd_mx_us == report.per_task["solo"].stddev_us
-
-
-def make_bins(counts, bin_width=10, start=0):
-    return [
-        (start + i * bin_width, start + (i + 1) * bin_width, c)
-        for i, c in enumerate(counts)
-    ]
 
 
 def test_unimodal_histogram_has_one_mode():

@@ -1,3 +1,4 @@
+import itertools
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -89,7 +90,7 @@ def test_runtime_excludes_queueing_but_counts_preemption():
     trace = run_sim({"fast": "cpu0", "slow": "cpu0"}, [fast, slow], [cpu], duration_us=100_000)
     # slow waits 5 ms for fast's first job (not measured), then loses another
     # 5 ms to one preemption mid-run (measured): 30 + 5 = 35 ms
-    assert trace.per_task_runtimes["slow"] == [35_000]
+    assert list(trace.per_task_runtimes["slow"]) == [35_000]
     assert set(trace.per_task_runtimes["fast"]) == {5_000}
     kinds = [(e[1], e[2]) for e in trace.events if e[1] in ("preempt", "resume")]
     assert ("preempt", "slow") in kinds
@@ -535,6 +536,28 @@ def test_demand_stream_is_the_same_for_any_block_split(model, noise, monkeypatch
         assert stream(block) == whole
 
 
+def test_interference_gaps_are_the_same_for_any_block_split(monkeypatch):
+    # at seed 194 cpu0 is interrupted 9 times in the 30 ms run, the 8th time at
+    # 24,130 us, and cpu2's first gap reaches past the run
+    cpus = [edf_cpu(f"cpu{i}") for i in range(4)]
+    tasks = [fixed_task(f"t{i}", 5_000, 4_500) for i in range(4)]
+    noise = NoiseModel(interference=Interference(rate_per_s=100.0, magnitude_us=300))
+    gaps = [simulation.gap_stream(s, 1e4) for s in np.random.SeedSequence(194).spawn(2)[1].spawn(4)]
+    starts = [list(itertools.takewhile(lambda t: t < 30_000, itertools.accumulate(g))) for g in gaps]
+    assert len(starts[0]) == 9 and starts[0][7] == 24_130 and starts[2] == []
+
+    def trace(block):
+        monkeypatch.setattr(simulation, "_DEMAND_BLOCK", block)
+        return run_sim({t.id: f"cpu{i}" for i, t in enumerate(tasks)}, tasks, cpus, noise=noise,
+                       duration_us=30_000, seed=194)
+
+    whole = trace(256)
+    assert (24_130, "preempt", "t0", "cpu0") in whole.events
+    for block in (1, 7):
+        run = trace(block)
+        assert (run.times, run.codes) == (whole.times, whole.codes)
+
+
 def test_adding_a_task_that_sorts_last_keeps_every_other_demand_sequence():
     # common random numbers for the tipping point: alone on its own CPU with no
     # interference, a task's measured runtimes are its demands
@@ -913,8 +936,8 @@ def test_zero_length_job_inside_a_chain():
     assert [e for e in events if 0 < e[0] < 1_000] == [
         (300, "complete", "a", "cpu0"), (300, "start", "b", "cpu0"), (300, "complete", "b", "cpu0"),
         (300, "start", "c", "cpu0"), (500, "complete", "c", "cpu0")]
-    assert run_sim({t.id: "cpu0" for t in tasks}, tasks, [edf_cpu()], duration_us=2_000).per_task_runtimes == {
-        "a": [300, 300], "b": [0, 0], "c": [200, 200]}
+    runtimes = run_sim({t.id: "cpu0" for t in tasks}, tasks, [edf_cpu()], duration_us=2_000).per_task_runtimes
+    assert {tid: list(column) for tid, column in runtimes.items()} == {"a": [300, 300], "b": [0, 0], "c": [200, 200]}
 
 
 @pytest.mark.parametrize("b_us, last", [(300, (1_500, "complete", "b", "cpu0")),
