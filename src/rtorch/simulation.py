@@ -30,7 +30,7 @@ passes with work outstanding.
 
 The trace is two ``array('q')`` columns, 16 bytes an event: the times, and one
 code per event packing its kind, task and CPU (see ``SimTrace``).  Each task's
-runtimes are one more ``array('q')`` column.
+runtimes are one more such column.
 """
 from __future__ import annotations
 
@@ -110,9 +110,7 @@ _task_rank = attrgetter("task")
 class SimTrace:
     """Everything a run produced: ordered events plus per-job measured runtimes.
 
-    ``per_task_runtimes`` holds each task's runtimes as an ``array('q')``
-    column, in completion order.
-
+    ``per_task_runtimes`` holds each task's runtimes, in completion order.
     Event i happened at ``times[i]``.  ``codes[i]`` is
     ``(task << len(cpu_ids).bit_length() | cpu) << 3 | kind``, with ``task`` an
     index into ``task_ids``, ``cpu`` into ``cpu_ids`` and ``kind`` into
@@ -192,13 +190,17 @@ class _Events(Sequence):
 
 @dataclass(frozen=True)
 class SimSnapshot:
-    """Read-only view handed to the monitoring hook at each epoch."""
+    """Read-only view handed to the monitoring hook at each epoch.
+
+    ``runtimes`` are the run's live columns.  A hook copies what it keeps (a
+    slice does): a column cannot grow while a NumPy view of it is alive.
+    """
 
     now_us: int
     assignments: Mapping[str, str]
     evicted: frozenset[str]
     next_deadline_us: Mapping[str, int]
-    runtimes: Mapping[str, array]  # the run's live runtime columns
+    runtimes: Mapping[str, array]
 
 
 @dataclass(frozen=True)
