@@ -16,10 +16,15 @@ distinct release time: it releases the tasks due then in task order, the order
 per-task events would have popped in, since nothing a release schedules at its
 own instant pops before another release.  Deadline checks are one heap event
 per distinct deadline time too: it checks the jobs due then in task order,
-since no deadline check schedules anything.  Within a CPU the dispatcher picks
-the ready job with the smallest (evicted?, deadline-or-period, task id,
-release) key, so EDF/RM ties resolve by task id and a running job is preempted
-exactly when a strictly smaller key becomes ready.
+since no deadline check schedules anything.  A job due at its task's next
+release inside the run (an implicit deadline) waits in its task's pending slot
+and joins the checks of that instant only if that release finds it open; every
+other job is registered when it is released.  Either way the check lands after
+the completions of its instant, so the total order is the per-job one.  Within
+a CPU the dispatcher picks the ready job with the smallest (evicted?,
+deadline-or-period, task id, release) key, so EDF/RM ties resolve by task id
+and a running job is preempted exactly when a strictly smaller key becomes
+ready.
 
 A job's recorded runtime is completion minus first dispatch: queueing before
 the first dispatch does not count, but preemptions after it (including
@@ -39,7 +44,7 @@ import itertools
 from array import array
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from operator import attrgetter, eq
+from operator import eq, itemgetter
 from typing import Optional, Protocol
 
 import numpy as np
@@ -57,6 +62,13 @@ _R_MONITOR = 5
 # the event kinds a trace records, indexed by the low 3 bits of an event code
 _KINDS = ("release", "start", "resume", "preempt", "complete", "deadline_miss", "migrate")
 _K_RELEASE, _K_START, _K_RESUME, _K_PREEMPT, _K_COMPLETE, _K_MISS, _K_MIGRATE = range(len(_KINDS))
+
+# A job, one released instance of a task, is a list of nine slots: its interned
+# task index, the _Cpu it was released on, the code of its events (kind 0), its
+# release time, absolute deadline and demand, the time it has executed, its
+# first dispatch (-1 until then; times are never negative), and whether it is done.
+_J_TASK, _J_CPU, _J_CODE, _J_RELEASE, _J_DEADLINE, _J_DEMAND, _J_EXECUTED, _J_START, _J_DONE = range(9)
+_task_rank = itemgetter(_J_TASK)
 
 
 @dataclass(frozen=True)
@@ -83,27 +95,6 @@ class NoiseModel:
 
 
 ZERO_NOISE = NoiseModel()
-
-
-class Job:
-    """One released instance of a task, bound to the CPU it was released on."""
-
-    __slots__ = ("task", "cpu", "code", "release_us", "abs_deadline_us", "demand_us",
-                 "executed_us", "measure_start_us", "done")
-
-    def __init__(self, task: int, cpu: "_Cpu", code: int, release_us: int, abs_deadline_us: int, demand_us: int):
-        self.task = task  # interned task index
-        self.cpu = cpu
-        self.code = code  # the code of this job's events, kind 0
-        self.release_us = release_us
-        self.abs_deadline_us = abs_deadline_us
-        self.demand_us = demand_us
-        self.executed_us = 0
-        self.measure_start_us = -1  # -1 until the first dispatch; times are never negative
-        self.done = False
-
-
-_task_rank = attrgetter("task")
 
 
 @dataclass
@@ -287,8 +278,8 @@ class _Cpu:
         self.id = spec.id
         self.code = index << 3  # this CPU's part of an event code
         self.rm = spec.policy is Policy.RM
-        self.ready: list[tuple[tuple, Job]] = []
-        self.running: Job | None = None
+        self.ready: list[tuple[tuple, list]] = []  # (key, job); a key is unique per open job
+        self.running: list | None = None
         self.running_key: tuple = ()
         self.run_since = 0
         self.seq = 0
@@ -359,18 +350,29 @@ def run_sim(
     # release time -> the tasks due then, and deadline time -> the jobs due then;
     # one heap event handles each list
     releases: dict[int, list[int]] = {0: list(range(len(ids)))}
-    dues: dict[int, list[Job]] = {}
+    dues: dict[int, list[list]] = {}
+    # each task's job due at its next release; a done stand-in until the first one
+    pending = [[None] * _J_DONE + [True]] * len(ids)
 
-    def job_key(cpu: _Cpu, job: Job) -> tuple:
-        t = job.task
-        return (demoted[t], period[t] if cpu.rm else job.abs_deadline_us, t, job.release_us)
+    def job_key(cpu: _Cpu, job: list) -> tuple:
+        t = job[_J_TASK]
+        return (demoted[t], period[t] if cpu.rm else job[_J_DEADLINE], t, job[_J_RELEASE])
+
+    def check_at(due_us: int, job: list) -> None:
+        """Check ``job`` for a miss at ``due_us``, after that instant's completions."""
+        due = dues.get(due_us)
+        if due is None:
+            dues[due_us] = [job]
+            heappush(heap, (due_us, _R_DEADLINE, 0, next(counter), None, 0))
+        else:
+            due.append(job)
 
     def preempt(cpu: _Cpu, now: int) -> None:
         """Return the running job to the ready queue, keeping the time it executed."""
         run = cpu.running
-        run.executed_us += now - cpu.run_since
+        run[_J_EXECUTED] += now - cpu.run_since
         stamp(now)
-        record(run.code + _K_PREEMPT)
+        record(run[_J_CODE] + _K_PREEMPT)
         heappush(cpu.ready, (cpu.running_key, run))  # apply_update keeps running_key current
         cpu.running = None
         cpu.seq += 1
@@ -384,7 +386,7 @@ def run_sim(
         if run is not None:
             if not ready or ready[0][0] >= cpu.running_key:
                 return
-            if run.demand_us - run.executed_us - (now - cpu.run_since) <= 0:
+            if run[_J_DEMAND] - run[_J_EXECUTED] - (now - cpu.run_since) <= 0:
                 return  # finishing at this very instant; let its completion event land
             preempt(cpu, now)
         if not ready:
@@ -395,12 +397,13 @@ def run_sim(
         cpu.run_since = now
         cpu.seq = seq = cpu.seq + 1
         stamp(now)
-        record(job.code + (_K_START if job.measure_start_us < 0 else _K_RESUME))
-        if job.executed_us == 0:
+        record(job[_J_CODE] + (_K_START if job[_J_START] < 0 else _K_RESUME))
+        if job[_J_EXECUTED] == 0:
             # runtime measurement anchors at the dispatch where real progress begins,
             # so a zero-length dispatch segment does not inflate the measurement
-            job.measure_start_us = now
-        heappush(heap, (now + job.demand_us - job.executed_us, _R_COMPLETE, job.task, next(counter), job, seq))
+            job[_J_START] = now
+        end = now + job[_J_DEMAND] - job[_J_EXECUTED]
+        heappush(heap, (end, _R_COMPLETE, job[_J_TASK], next(counter), job, seq))
 
     def apply_update(update: PlanUpdate, now: int) -> None:
         for tid in sorted(update.assignments):
@@ -435,7 +438,7 @@ def run_sim(
         nd = [(now // p + 1) * p + d for p, d in zip(period, deadline)]
         for cpu in cpu_map.values():
             for job in [j for _, j in cpu.ready] + ([] if cpu.running is None else [cpu.running]):
-                nd[job.task] = min(nd[job.task], job.abs_deadline_us)
+                nd[job[_J_TASK]] = min(nd[job[_J_TASK]], job[_J_DEADLINE])
         return SimSnapshot(
             now_us=now,
             assignments={tid: where[index[tid]].id for tid in plan},
@@ -468,19 +471,19 @@ def run_sim(
             released = releases.pop(now)
             released.sort()  # the order per-task events would have popped in
             for t in released:
+                if not pending[t][_J_DONE]:
+                    check_at(now, pending[t])  # due at this release, and still open
                 cpu = where[t]
-                job = Job(t, cpu, task_code[t] + cpu.code, now, now + deadline[t], demand[t]())
+                code = task_code[t] + cpu.code
+                due_us = now + deadline[t]
+                job = [t, cpu, code, now, due_us, demand[t](), 0, -1, False]
                 stamp(now)
-                record(job.code + _K_RELEASE)
-                due_us = job.abs_deadline_us
-                if due_us <= duration_us:
-                    due = dues.get(due_us)
-                    if due is None:
-                        dues[due_us] = [job]
-                        heappush(heap, (due_us, _R_DEADLINE, 0, next(counter), None, 0))
-                    else:
-                        due.append(job)
+                record(code + _K_RELEASE)
                 nxt = now + period[t]
+                if due_us == nxt and nxt < duration_us:
+                    pending[t] = job  # checked when the task releases next, if still open
+                elif due_us <= duration_us:
+                    check_at(due_us, job)
                 if nxt < duration_us:
                     later = releases.get(nxt)
                     if later is None:
@@ -488,31 +491,31 @@ def run_sim(
                         heappush(heap, (nxt, _R_RELEASE, 0, next(counter), None, 0))
                     else:
                         later.append(t)
-                key = job_key(cpu, job)
+                key = (demoted[t], period[t] if cpu.rm else due_us, t, now)  # job_key, inlined
                 if cpu.running is None and not cpu.ready and cpu.blocked_until <= now:
                     cpu.running, cpu.running_key, cpu.run_since = job, key, now  # idle: start at once
                     cpu.seq = seq = cpu.seq + 1
                     stamp(now)
-                    record(job.code + _K_START)
-                    job.measure_start_us = now
-                    heappush(heap, (now + job.demand_us, _R_COMPLETE, t, next(counter), job, seq))
+                    record(code + _K_START)
+                    job[_J_START] = now
+                    heappush(heap, (now + job[_J_DEMAND], _R_COMPLETE, t, next(counter), job, seq))
                     continue
                 heappush(cpu.ready, (key, job))
                 if cpu.running is None or key < cpu.running_key:  # else dispatch would return at once
                     dispatch(cpu, now)
 
         elif rank == _R_COMPLETE:
-            cpu = obj.cpu
+            cpu = obj[_J_CPU]
             if cpu.seq != seq:
                 continue  # superseded: every dispatch, preemption and completion moves seq
             ready = cpu.ready
             # a running CPU is never blocked, so start the best ready job as dispatch would;
             # while it ends before every heap event, its completion is the next event
             while True:
-                obj.done = True
+                obj[_J_DONE] = True
                 stamp(now)
-                record(obj.code + _K_COMPLETE)
-                add_runtime[obj.task](now - obj.measure_start_us)
+                record(obj[_J_CODE] + _K_COMPLETE)
+                add_runtime[obj[_J_TASK]](now - obj[_J_START])
                 if not ready:
                     cpu.running = None
                     cpu.seq += 1
@@ -521,12 +524,12 @@ def run_sim(
                 cpu.running, cpu.running_key, cpu.run_since = obj, key, now
                 cpu.seq = seq = cpu.seq + 2  # the completion's move and the dispatch's
                 stamp(now)
-                record(obj.code + (_K_START if obj.measure_start_us < 0 else _K_RESUME))
-                if obj.executed_us == 0:
-                    obj.measure_start_us = now
-                end = now + obj.demand_us - obj.executed_us
+                record(obj[_J_CODE] + (_K_START if obj[_J_START] < 0 else _K_RESUME))
+                if obj[_J_EXECUTED] == 0:
+                    obj[_J_START] = now
+                end = now + obj[_J_DEMAND] - obj[_J_EXECUTED]
                 if end > duration_us or (heap and heap[0][0] <= end):
-                    heappush(heap, (end, _R_COMPLETE, obj.task, next(counter), obj, seq))
+                    heappush(heap, (end, _R_COMPLETE, obj[_J_TASK], next(counter), obj, seq))
                     break
                 now = end
 
@@ -535,9 +538,9 @@ def run_sim(
             if len(due) > 1:
                 due.sort(key=_task_rank)  # the order per-job events would have popped in
             for job in due:
-                if not job.done:
+                if not job[_J_DONE]:
                     stamp(now)
-                    record(job.code + _K_MISS)
+                    record(job[_J_CODE] + _K_MISS)
 
         elif rank == _R_IFR_START:
             cpu = obj

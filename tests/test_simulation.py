@@ -426,7 +426,11 @@ def simulated_systems(draw):
     noise = NoiseModel(base_overhead_us=draw(st.sampled_from([0, 7, 50])),
                        latency_jitter=NormalParams(*jitter), interference=interference)
     plan = {t.id: draw(st.sampled_from(cpu_ids)) for t in tasks}
-    duration = draw(st.integers(10_000, 60_000))
+    # often a multiple of every period (30 ms is their least common multiple), so
+    # each task's last job is due at the last instant
+    step = shared or 30_000
+    multiple = st.integers(-(-10_000 // step), 60_000 // step).map(lambda k: k * step)
+    duration = draw(st.one_of(st.integers(10_000, 60_000), multiple))
     hook = None
     if draw(st.booleans()):
         epochs = []
@@ -727,9 +731,11 @@ def test_each_corruption_of_a_long_file_reads_as_the_reference_reads_it(corrupti
     assert _outcome(read_runtimes_csv, corrupted) == expected
 
 
-# Deadline checks share one heap event per deadline time.  Each case below puts
-# that event in a tie the per-job events of ``run_sim_reference`` ordered one by
-# one, and checks that both engines write the same events.
+# Deadline checks share one heap event per deadline time.  A job due at its
+# task's next release joins it only if that release finds the job open; any other
+# job joins it when released.  Each case below puts that event in a tie the
+# per-job events of ``run_sim_reference`` ordered one by one, and checks that both
+# engines write the same events.
 
 def _same_as_reference(plan, tasks, resources, **kwargs):
     hook = kwargs.pop("hook", None)
@@ -777,6 +783,27 @@ def test_completion_exactly_at_the_deadline_is_no_miss():
     assert all(e[2] != "a" for e in events if e[1] == "deadline_miss")
 
 
+def test_completion_exactly_at_the_implicit_deadline_is_no_miss():
+    # b runs 600..1000 and finishes at its deadline, the instant both tasks release again
+    tasks = [fixed_task("b", 1_000, 400), fixed_task("a", 1_000, 600)]
+    events = _same_as_reference({"a": "cpu0", "b": "cpu0"}, tasks, [edf_cpu()], duration_us=3_000)
+    assert [e for e in events if e[0] == 1_000] == [
+        (1_000, "release", "a", "cpu0"), (1_000, "release", "b", "cpu0"),
+        (1_000, "complete", "b", "cpu0"), (1_000, "start", "a", "cpu0")]
+    assert not [e for e in events if e[1] == "deadline_miss"]
+
+
+def test_implicit_deadline_miss_tied_with_an_interference_start_that_preempts():
+    # a's period ends when the first interrupt lands; its overrunning job misses at
+    # that release, and only then does the interrupt preempt it
+    first = _first_interrupt_us(7, 100_000)
+    tasks = [fixed_task("a", first, first + 300)]
+    events = _same_as_reference({"a": "cpu0"}, tasks, [edf_cpu()], duration_us=3 * first,
+                                noise=NoiseModel(interference=Interference(200.0, 10)), seed=7)
+    assert [e for e in events if e[0] == first] == [
+        (first, "release", "a", "cpu0"), (first, "deadline_miss", "a", "cpu0"), (first, "preempt", "a", "cpu0")]
+
+
 def test_tasks_sharing_a_deadline_miss_in_sorted_id_order():
     # released at 0, 1500, 2000 and 2000, all due at 3000; declared and released out of sorted-id order
     tasks = [fixed_task("z", 3_000, 3_100), fixed_task("t10", 1_000, 1_100),
@@ -785,6 +812,38 @@ def test_tasks_sharing_a_deadline_miss_in_sorted_id_order():
     plan = {t.id: f"cpu{i}" for i, t in enumerate(tasks)}
     events = _same_as_reference(plan, tasks, cpus, duration_us=6_000)
     assert [e[2] for e in events if e[:2] == (3_000, "deadline_miss")] == ["T1", "cam_a", "t10", "z"]
+
+
+# Jobs due at one instant in an order other than task order: a constrained job
+# joins the checks when it is released, before an implicit one that joins at the
+# instant itself; constrained jobs released apart, and last jobs due at the end,
+# join in release order; and a job left open on its CPU by a migration or an eviction
+# still joins at its task's next release.  Each case is (tasks, CPUs, duration,
+# hook, instant): both tasks start on cpu0, and both miss there at the instant.
+_MISSES_OUT_OF_TASK_ORDER = {
+    "constrained and implicit": (
+        [fixed_task("z", 2_000, 1_200, deadline_us=1_000), fixed_task("a", 1_000, 1_500)], 1, 4_000, None, 1_000),
+    "last jobs due at the end": (
+        [fixed_task("b", 3_000, 500), fixed_task("a", 1_000, 1_100)], 1, 3_000, None, 3_000),
+    "constrained, released apart": (
+        [fixed_task("b", 4_000, 3_500, deadline_us=3_000), fixed_task("a", 2_000, 1_500, deadline_us=1_000)],
+        1, 6_000, None, 3_000),
+    "after a migration": (
+        [fixed_task("z", 2_000, 1_200, deadline_us=1_000), fixed_task("a", 1_000, 1_500)], 2, 4_000,
+        (500, [({"a": "cpu1"}, set())]), 1_000),
+    "after an eviction": (
+        [fixed_task("z", 2_000, 1_200, deadline_us=1_000), fixed_task("a", 1_000, 1_500)], 1, 4_000,
+        (500, [({}, {"a"})]), 1_000),
+}
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("case", sorted(_MISSES_OUT_OF_TASK_ORDER))
+def test_misses_due_out_of_task_order_are_written_in_task_order(case, policy):
+    tasks, n_cpus, duration_us, hook, at_us = _MISSES_OUT_OF_TASK_ORDER[case]
+    cpus = [ResourceState(id=f"cpu{i}", policy=policy, u_max=1.0) for i in range(n_cpus)]
+    events = _same_as_reference({t.id: "cpu0" for t in tasks}, tasks, cpus, duration_us=duration_us, hook=hook)
+    assert [e[2:] for e in events if e[:2] == (at_us, "deadline_miss")] == [("a", "cpu0"), (tasks[0].id, "cpu0")]
 
 
 def test_open_job_due_at_the_end_misses():
@@ -797,7 +856,7 @@ def test_open_job_due_past_the_end_has_no_miss_row():
     assert [e[0] for e in events if e[1] == "deadline_miss"] == [1_000, 2_000]
 
 
-def test_one_deadline_event_per_distinct_deadline_time(monkeypatch):
+def test_deadline_events_only_for_jobs_open_at_their_deadline(monkeypatch):
     pushed = []
     heappush = simulation.heapq.heappush
 
@@ -807,12 +866,18 @@ def test_one_deadline_event_per_distinct_deadline_time(monkeypatch):
         heappush(heap, item)
 
     monkeypatch.setattr(simulation.heapq, "heappush", counting)
-    scenario = load_scenario(SCENARIO_DIR / "table1_4units.json")
-    trace = run_sim(scenario.initial_plan, scenario.tasks, scenario.resources, noise=scenario.sim.noise,
-                    duration_us=scenario.sim.duration_us, seed=scenario.sim.seed)
-    # four tasks of one period: 2,400 jobs, due at 600 distinct times
-    assert sum(len(v) for v in trace.per_task_runtimes.values()) == 2_400
-    assert len(pushed) == len(set(pushed)) == 600
+    # four and ten tasks of one 100 ms period on one CPU, released at 600 instants in
+    # 60 s.  Every job of table1_4units is done at its next release, so only the last
+    # jobs, due at the end of the run with no release then, push a check;
+    # table1_10units overloads its CPU, so a job is open at every deadline
+    for name, jobs, pushes in (("table1_4units", 2_400, 1), ("table1_10units", 6_000, 600)):
+        pushed.clear()
+        scenario = load_scenario(SCENARIO_DIR / f"{name}.json")
+        trace = run_sim(scenario.initial_plan, scenario.tasks, scenario.resources, noise=scenario.sim.noise,
+                        duration_us=scenario.sim.duration_us, seed=scenario.sim.seed)
+        assert sum(e[1] == "release" for e in trace.events) == jobs
+        assert len(pushed) == len(set(pushed)) == pushes
+        assert pushed[-1] == scenario.sim.duration_us == 60_000_000
 
 
 def test_one_release_event_per_distinct_release_time(monkeypatch):
