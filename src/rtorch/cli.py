@@ -140,13 +140,17 @@ def cmd_simulate(args) -> int:
             d.rmdir()
         return EXIT_INPUT
 
-    write_trace_csv(trace, out / "trace.csv")
-    write_runtimes_csv(trace, out / "runtimes.csv")
-    write_report_json(report, out / "report.json")
-    export_histogram(report, out / "histogram.csv")
-    with open(out / "decisions.jsonl", "w") as fh:
-        for record in (hook.records if hook is not None else []):
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    try:
+        write_trace_csv(trace, out / "trace.csv")
+        write_runtimes_csv(trace, out / "runtimes.csv")
+        write_report_json(report, out / "report.json")
+        export_histogram(report, out / "histogram.csv")
+        with open(out / "decisions.jsonl", "w") as fh:
+            for record in (hook.records if hook is not None else []):
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+    except OSError as exc:
+        print(f"error: --out {out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_INPUT
     log.info("wrote %s", out)
 
     hard_tasks = {t.id for t in scenario.tasks if t.criticality is Criticality.HARD}

@@ -42,9 +42,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from array import array
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import Optional, Protocol
 
 import numpy as np
@@ -99,35 +99,24 @@ ZERO_NOISE = NoiseModel()
 
 @dataclass
 class SimTrace:
-    """Everything a run produced: ordered events plus per-job measured runtimes.
+    """Everything a run produced: two event columns plus per-job measured runtimes.
 
     ``per_task_runtimes`` holds each task's runtimes, in completion order.
-    Event i happened at ``times[i]``.  ``codes[i]`` is
+    Event i happened at ``times[i]`` and has the code ``events[i]``, which is
     ``(task << len(cpu_ids).bit_length() | cpu) << 3 | kind``, with ``task`` an
     index into ``task_ids``, ``cpu`` into ``cpu_ids`` and ``kind`` into
-    ``_KINDS``.  ``events`` decodes the columns as ``(time_us, kind, task,
-    resource)`` tuples.
+    ``_KINDS``.
     """
 
     per_task_runtimes: dict[str, array]
     times: array
-    codes: array
+    events: array
     task_ids: tuple[str, ...]
     cpu_ids: tuple[str, ...]
 
-    @property
-    def events(self) -> Sequence[tuple[int, str, str, str]]:
-        return _Events(self)
-
-    def _label(self, code: int) -> tuple[str, str, str]:
-        """The ``(kind, task, resource)`` an event code stands for."""
-        shift = len(self.cpu_ids).bit_length()
-        task, cpu = code >> (3 + shift), (code >> 3) & ((1 << shift) - 1)
-        return _KINDS[code & 7], self.task_ids[task], self.cpu_ids[cpu]
-
     def miss_counts(self) -> dict[str, int]:
         counts = dict.fromkeys(self.per_task_runtimes, 0)
-        codes = np.asarray(self.codes)
+        codes = np.asarray(self.events)
         missed = np.bincount(codes[(codes & 7) == _K_MISS] >> (3 + len(self.cpu_ids).bit_length()),
                              minlength=len(self.task_ids))
         for task, n in zip(self.task_ids, missed.tolist()):
@@ -137,46 +126,19 @@ class SimTrace:
 
 
 class _Labels(dict):
-    """Event code -> ``form(kind, task, resource)``, worked out at the code's first lookup."""
-
-    def __init__(self, trace: SimTrace, form: Callable[[str, str, str], object]):
-        super().__init__()
-        self.trace, self.form = trace, form
-
-    def __missing__(self, code: int):
-        value = self[code] = self.form(*self.trace._label(code))
-        return value
-
-
-class _Events(Sequence):
-    """Read-only view of a trace's events as ``(time_us, kind, task, resource)`` tuples."""
-
-    __slots__ = ("_trace",)
+    """Event code -> its trace CSV row less the time (``,kind,task,resource`` and a newline),
+    worked out at the code's first lookup."""
 
     def __init__(self, trace: SimTrace):
-        self._trace = trace
+        super().__init__()
+        self.trace = trace
 
-    def __len__(self) -> int:
-        return len(self._trace.times)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        trace = self._trace
-        return (trace.times[i], *trace._label(trace.codes[i]))
-
-    def __iter__(self) -> Iterator[tuple[int, str, str, str]]:
-        labels = _Labels(self._trace, lambda *label: label)
-        return ((time, *labels[code]) for time, code in zip(self._trace.times, self._trace.codes))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _Events):
-            a, b = self._trace, other._trace
-            if a.task_ids == b.task_ids and a.cpu_ids == b.cpu_ids:
-                return a.times == b.times and a.codes == b.codes
-        elif not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
+    def __missing__(self, code: int) -> str:
+        trace = self.trace
+        shift = len(trace.cpu_ids).bit_length()
+        task, cpu = trace.task_ids[code >> (3 + shift)], trace.cpu_ids[(code >> 3) & ((1 << shift) - 1)]
+        value = self[code] = f",{_KINDS[code & 7]},{task},{cpu}\n"
+        return value
 
 
 @dataclass(frozen=True)
@@ -574,8 +536,8 @@ _TRACE_CHUNK = 4096  # rows per write: the text of the whole trace is never held
 
 
 def write_trace_csv(trace: SimTrace, path) -> None:
-    stems = _Labels(trace, ",{},{},{}\n".format)
-    times, codes = trace.times, trace.codes
+    stems = _Labels(trace)
+    times, codes = trace.times, trace.events
     with open(path, "w", newline="") as fh:
         fh.write("time_us,kind,task,resource\n")
         for lo in range(0, len(times), _TRACE_CHUNK):

@@ -39,6 +39,13 @@ def trace_of(
                     tuple(tasks), tuple(cpus))
 
 
+def events_of(trace: SimTrace) -> list[tuple[int, str, str, str]]:
+    """The ``(time_us, kind, task, resource)`` tuples of a SimTrace's columns: the inverse of ``trace_of``."""
+    bits = len(trace.cpu_ids).bit_length()
+    return [(time, _KINDS[code & 7], trace.task_ids[code >> (3 + bits)], trace.cpu_ids[(code >> 3) & ((1 << bits) - 1)])
+            for time, code in zip(trace.times, trace.events)]
+
+
 def phi_simpson(x: float, lo: float = -12.0, steps: int = 20000) -> float:
     """Standard normal CDF by composite Simpson integration of the density."""
     if x <= lo:
@@ -126,6 +133,25 @@ def rm_bound_exact(n: int, dps: int = 50):
 
     with mpmath.workdps(dps):
         return n * (mpmath.mpf(2) ** (mpmath.mpf(1) / n) - 1)
+
+
+def rta_response(tasks: Sequence[TaskSpec]) -> dict[str, int]:
+    """Each task's response time to a synchronous release on one RM CPU with constant demands.
+
+    The least fixed point of R = C + sum over higher priority of ceil(R / T_j) * C_j
+    (Joseph & Pandya 1986), iterated in integers from R = C plus every higher
+    priority C.  Priority is by (period, id), and C is ``exec_model.mu_us``.
+    Converges when the CPU's utilization is at most 1.
+    """
+    ranked = sorted(tasks, key=lambda t: (t.period_us, t.id))
+    out = {}
+    for i, task in enumerate(ranked):
+        higher = [(t.period_us, t.exec_model.mu_us) for t in ranked[:i]]
+        r, prev = task.exec_model.mu_us + sum(c for _, c in higher), 0
+        while r != prev:
+            prev, r = r, task.exec_model.mu_us + sum(-(-r // period) * c for period, c in higher)
+        out[task.id] = r
+    return out
 
 
 def edf_window_demand(budgets_us: list[int], copies: int = 1) -> int:

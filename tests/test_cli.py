@@ -413,6 +413,19 @@ def test_unusable_out_exits_one_with_one_line(out, tmp_path, capsys):
     assert (tmp_path / "taken").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("name", ["trace.csv", "runtimes.csv", "report.json", "histogram.csv", "decisions.jsonl"])
+def test_unwritable_output_file_exits_one_with_one_line(name, tmp_path, capsys):
+    out = tmp_path / "run"
+    (out / name).mkdir(parents=True)  # a directory where the file goes
+    argv = ["simulate", "--scenario", str(SCENARIO_DIR / "table1_4units.json"), "--duration-us", "1000000",
+            "--out", str(out)]
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: --out {out}: ")
+
+
 def test_rejected_run_removes_only_the_out_directories_it_made(tmp_path, capsys):
     (tmp_path / "kept").mkdir()
     argv = ["simulate", "--scenario", str(SCENARIO_DIR / "table1_4units.json"), "--duration-us", "10",

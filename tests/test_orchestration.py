@@ -35,7 +35,7 @@ from rtorch.scenario import parse_scenario
 from rtorch.simulation import PlanUpdate, run_sim
 
 from conftest import REPO_ROOT
-from oracles import first_fit_reference, fit_normal_reference, mc_reallocate_reference
+from oracles import events_of, first_fit_reference, fit_normal_reference, mc_reallocate_reference
 
 
 def mk_task(tid, period_us, budget_us, crit=Criticality.HARD, mu_us=None, sigma_us=0):
@@ -636,7 +636,7 @@ def test_hook_relocates_camera_once_and_misses_drop():
         return counts["cam_a"] + counts["cam_b"]
 
     assert cam_misses(managed) < cam_misses(baseline)
-    migrations = [e for e in managed.events if e[1] == "migrate"]
+    migrations = [e for e in events_of(managed) if e[1] == "migrate"]
     assert migrations == [(1_000_000, "migrate", "cam_a", "cpu1")]
     first = hook.records[0]
     assert first["decision"] is not None

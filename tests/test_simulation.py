@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rtorch import simulation
 from rtorch.model import ExecModel, MixtureMode, Policy, ResourceState, TaskSpec
@@ -24,7 +24,14 @@ from rtorch.simulation import (
 import numpy as np
 
 from conftest import SCENARIO_DIR
-from oracles import demand_stream_reference, read_runtimes_csv_reference, run_sim_reference, trace_of
+from oracles import (
+    demand_stream_reference,
+    events_of,
+    read_runtimes_csv_reference,
+    rta_response,
+    run_sim_reference,
+    trace_of,
+)
 
 
 def fixed_task(tid, period_us, exec_us, budget_us=None, deadline_us=None):
@@ -49,9 +56,8 @@ def test_single_task_runs_every_period():
     assert len(trace.per_task_runtimes["a"]) == 100
     assert set(trace.per_task_runtimes["a"]) == {10_000}
     assert trace.miss_counts() == {"a": 0}
-    assert trace.events[0] == (0, "release", "a", "cpu0")
-    assert trace.events[1] == (0, "start", "a", "cpu0")
-    assert trace.events[2] == (10_000, "complete", "a", "cpu0")
+    assert events_of(trace)[:3] == [(0, "release", "a", "cpu0"), (0, "start", "a", "cpu0"),
+                                    (10_000, "complete", "a", "cpu0")]
 
 
 def test_same_seed_reproduces_trace_exactly():
@@ -62,7 +68,7 @@ def test_same_seed_reproduces_trace_exactly():
         run_sim({"a": "cpu0"}, [task], [edf_cpu()], noise=noise, duration_us=2_000_000, seed=7)
         for _ in range(2)
     ]
-    assert runs[0].events == runs[1].events
+    assert events_of(runs[0]) == events_of(runs[1])
     assert runs[0].per_task_runtimes == runs[1].per_task_runtimes
     other = run_sim({"a": "cpu0"}, [task], [edf_cpu()], noise=noise, duration_us=2_000_000, seed=8)
     assert other.per_task_runtimes != runs[0].per_task_runtimes
@@ -79,7 +85,7 @@ def test_overloaded_cpu_counts_misses_and_finishes_late_jobs():
     assert len(trace.per_task_runtimes["b"]) == 8
     assert set(trace.per_task_runtimes["a"]) == {60_000}
     assert set(trace.per_task_runtimes["b"]) == {60_000}
-    completes = [e for e in trace.events if e[1] == "complete"]
+    completes = [e for e in events_of(trace) if e[1] == "complete"]
     assert [e[0] for e in completes] == [60_000 * k for k in range(1, 17)]
 
 
@@ -92,7 +98,7 @@ def test_runtime_excludes_queueing_but_counts_preemption():
     # 5 ms to one preemption mid-run (measured): 30 + 5 = 35 ms
     assert list(trace.per_task_runtimes["slow"]) == [35_000]
     assert set(trace.per_task_runtimes["fast"]) == {5_000}
-    kinds = [(e[1], e[2]) for e in trace.events if e[1] in ("preempt", "resume")]
+    kinds = [(e[1], e[2]) for e in events_of(trace) if e[1] in ("preempt", "resume")]
     assert ("preempt", "slow") in kinds
     assert ("resume", "slow") in kinds
 
@@ -109,7 +115,7 @@ def test_rate_monotonic_prefers_short_period_over_early_deadline():
         )
         # same-instant releases dispatch in id order, so judge priority by who
         # holds the CPU to completion rather than by the first start event
-        order[policy] = next(e[2] for e in trace.events if e[1] == "complete")
+        order[policy] = next(e[2] for e in events_of(trace) if e[1] == "complete")
     assert order[Policy.RM] == "frequent"
     assert order[Policy.EDF] == "urgent"
 
@@ -163,7 +169,7 @@ def test_every_completion_has_a_prior_release(tasks, seed):
     last = 0
     released = {t.id: 0 for t in tasks}
     completed = {t.id: 0 for t in tasks}
-    for time_us, kind, tid, _rid in trace.events:
+    for time_us, kind, tid, _rid in events_of(trace):
         assert time_us >= last
         last = time_us
         if kind == "release":
@@ -231,9 +237,9 @@ def test_migration_takes_effect_at_next_release():
     assert first.now_us == 50_000
     assert first.assignments == {"m": "cpu0", "other": "cpu1"}
     assert first.next_deadline_us["m"] == 100_000
-    migrations = [e for e in trace.events if e[1] == "migrate"]
+    migrations = [e for e in events_of(trace) if e[1] == "migrate"]
     assert migrations == [(50_000, "migrate", "m", "cpu1")]
-    m_events = [(e[0], e[1], e[3]) for e in trace.events if e[2] == "m"]
+    m_events = [(e[0], e[1], e[3]) for e in events_of(trace) if e[2] == "m"]
     # the in-flight job finishes where it started; later releases move
     assert (80_000, "complete", "cpu0") in m_events
     assert (100_000, "release", "cpu1") in m_events
@@ -264,7 +270,7 @@ def test_evicted_task_yields_cpu_but_keeps_running_in_background():
     )
     # overloaded while bg is foreground, conflict-free once bg is demoted:
     # hard then runs 0-60 in each later period and never misses again
-    the_misses = [e for e in trace.events if e[1] == "deadline_miss" and e[2] == "hard"]
+    the_misses = [e for e in events_of(trace) if e[1] == "deadline_miss" and e[2] == "hard"]
     assert all(e[0] <= 200_000 for e in the_misses)
     assert len(trace.per_task_runtimes["bg"]) >= 3  # still completing in the slack
     snapshot_evicted = hook.calls >= 2
@@ -362,19 +368,7 @@ def test_trace_csv_has_one_row_per_event(tmp_path, monkeypatch):
     write_trace_csv(trace, path)
     rows = path.read_text().splitlines()[1:]
     assert len(trace.events) == len(rows) > 0
-    assert rows == [",".join(map(str, e)) for e in trace.events]
-
-
-def test_events_are_a_read_only_view():
-    trace = run_sim({"a": "cpu0"}, [fixed_task("a", 1_000, 300)], [edf_cpu()], duration_us=3_000)
-    events = trace.events
-    assert not hasattr(events, "append") and not hasattr(events, "__setitem__")
-    with pytest.raises(TypeError):
-        events[0] = (0, "release", "a", "cpu0")
-    assert events[-1] == (2_300, "complete", "a", "cpu0")
-    assert events[:2] == [(0, "release", "a", "cpu0"), (0, "start", "a", "cpu0")]
-    assert events == list(events) and list(events) == events
-    assert events != list(events)[:-1]
+    assert rows == [",".join(map(str, e)) for e in events_of(trace)]
 
 
 def test_trace_csv_format(tmp_path):
@@ -475,7 +469,7 @@ def test_engine_matches_reference_engine(system, seed):
         trace = engine(plan, tasks, resources, noise=noise, duration_us=duration, seed=seed, hook=hook)
         runs.append((trace, hook))
     (trace, hook), (expected, expected_hook) = runs
-    assert trace.events == expected.events
+    assert events_of(trace) == events_of(expected)
     assert list(trace.per_task_runtimes.items()) == list(expected.per_task_runtimes.items())
     if hook is not None:
         assert hook.seen == expected_hook.seen
@@ -490,7 +484,7 @@ def test_new_job_completing_before_the_old_one_drains():
         hook = _ScriptedHook(1_300, [({"m": "cpu1"}, set())])
         trace = engine({"hog": "cpu0", "m": "cpu0"}, tasks, [edf_cpu("cpu0"), edf_cpu("cpu1")],
                        duration_us=6_000, hook=hook)
-        runs.append((trace.events, list(trace.per_task_runtimes.items()), hook.seen))
+        runs.append((events_of(trace), list(trace.per_task_runtimes.items()), hook.seen))
     assert runs[0] == runs[1]
     events, _, seen = runs[0]
     completions = [(e[0], e[3]) for e in events if e[1:3] == ("complete", "m")]
@@ -556,10 +550,10 @@ def test_interference_gaps_are_the_same_for_any_block_split(monkeypatch):
                        duration_us=30_000, seed=194)
 
     whole = trace(256)
-    assert (24_130, "preempt", "t0", "cpu0") in whole.events
+    assert (24_130, "preempt", "t0", "cpu0") in events_of(whole)
     for block in (1, 7):
         run = trace(block)
-        assert (run.times, run.codes) == (whole.times, whole.codes)
+        assert (run.times, run.events) == (whole.times, whole.events)
 
 
 def test_adding_a_task_that_sorts_last_keeps_every_other_demand_sequence():
@@ -589,11 +583,11 @@ def test_interference_gaps_are_per_cpu():
     two = run_sim(plan, tasks, [edf_cpu("cpu0"), edf_cpu("cpu1")], noise=noise, duration_us=500_000, seed=3)
     three = run_sim(plan, tasks, [edf_cpu("cpu2"), edf_cpu("cpu0"), edf_cpu("cpu1")],
                     noise=noise, duration_us=500_000, seed=3)
-    assert two.events == three.events
-    assert any(kind == "preempt" for _, kind, _, _ in two.events)  # interference did strike
+    assert events_of(two) == events_of(three)
+    assert any(kind == "preempt" for _, kind, _, _ in events_of(two))  # interference did strike
     # each CPU its own child: cpu0 and cpu1 see different gaps
-    alone = {rid: run_sim({t.id: rid for t in tasks[:1]}, tasks[:1], [edf_cpu("cpu0"), edf_cpu("cpu1")],
-                          noise=noise, duration_us=500_000, seed=3).events for rid in ("cpu0", "cpu1")}
+    alone = {rid: events_of(run_sim({t.id: rid for t in tasks[:1]}, tasks[:1], [edf_cpu("cpu0"), edf_cpu("cpu1")],
+                                    noise=noise, duration_us=500_000, seed=3)) for rid in ("cpu0", "cpu1")}
     assert [e[:3] for e in alone["cpu0"]] != [e[:3] for e in alone["cpu1"]]
 
 
@@ -744,9 +738,10 @@ def _same_as_reference(plan, tasks, resources, **kwargs):
         step = None if hook is None else _ScriptedHook(*hook)
         traces.append(engine(plan, tasks, resources, hook=step, **kwargs))
     trace, expected = traces
-    assert trace.events == expected.events
+    events = events_of(trace)
+    assert events == events_of(expected)
     assert list(trace.per_task_runtimes.items()) == list(expected.per_task_runtimes.items())
-    return trace.events
+    return events
 
 
 def test_deadline_tied_with_an_interference_start_that_preempts():
@@ -875,7 +870,7 @@ def test_deadline_events_only_for_jobs_open_at_their_deadline(monkeypatch):
         scenario = load_scenario(SCENARIO_DIR / f"{name}.json")
         trace = run_sim(scenario.initial_plan, scenario.tasks, scenario.resources, noise=scenario.sim.noise,
                         duration_us=scenario.sim.duration_us, seed=scenario.sim.seed)
-        assert sum(e[1] == "release" for e in trace.events) == jobs
+        assert sum(e[1] == "release" for e in events_of(trace)) == jobs
         assert len(pushed) == len(set(pushed)) == pushes
         assert pushed[-1] == scenario.sim.duration_us == 60_000_000
 
@@ -924,7 +919,7 @@ def _first_interrupt_us(seed, duration_us):
     trace = run_sim_reference({"x": "cpu0"}, [fixed_task("x", duration_us, duration_us - 1)], [edf_cpu()],
                               noise=NoiseModel(interference=Interference(200.0, 10)),
                               duration_us=duration_us, seed=seed)
-    return next(e[0] for e in trace.events if e[1] == "preempt")
+    return next(e[0] for e in events_of(trace) if e[1] == "preempt")
 
 
 def test_release_onto_an_idle_cpu_an_interrupt_blocks_waits():
@@ -1032,3 +1027,32 @@ def test_one_completion_event_per_period_on_table1(monkeypatch):
     # release and the other three chain onto it, so 2,400 jobs push 600 completions
     assert sum(len(v) for v in trace.per_task_runtimes.values()) == 2_400
     assert len(pushed) == 600
+
+
+@st.composite
+def rm_task_sets(draw):
+    """1-5 constant-demand tasks on criterion 04's period menu, at a total utilization of at most 1."""
+    n = draw(st.integers(1, 5))
+    periods = draw(st.lists(st.sampled_from([20_000, 25_000, 40_000, 50_000, 100_000]), min_size=n, max_size=n))
+    weights = draw(st.lists(st.integers(1, 100), min_size=n, max_size=n))
+    target = Fraction(draw(st.integers(30, 100)), 100)
+    tasks = [fixed_task(f"t{i}", period, max(1, int(period * target * w / sum(weights))))
+             for i, (period, w) in enumerate(zip(periods, weights))]
+    assume(sum(Fraction(t.exec_model.mu_us, t.period_us) for t in tasks) <= 1)
+    return tasks
+
+
+@settings(max_examples=100, deadline=None)
+@given(rm_task_sets())
+def test_rm_first_response_times_match_response_time_analysis(tasks):
+    # synchronous release at 0 is the critical instant for fixed priorities, so each
+    # task's first completion is its worst-case response time
+    expected = rta_response(tasks)
+    cpu = ResourceState(id="cpu0", policy=Policy.RM, u_max=1.0)
+    duration = max(*expected.values(), *(t.period_us for t in tasks)) + 1
+    trace = run_sim({t.id: "cpu0" for t in tasks}, tasks, [cpu], duration_us=duration)
+    first = {}
+    for time_us, kind, tid, _ in events_of(trace):
+        if kind == "complete":
+            first.setdefault(tid, time_us)
+    assert first == expected
