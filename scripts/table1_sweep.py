@@ -4,15 +4,20 @@
 Columns: unit count, AVG (group mean runtime, us), SKW (min/max deviation of
 task means from the group average, us), SD_MX (stddev of the task straying
 furthest) and the total deadline misses.  The load tips between 9 and 10
-units; the miss column shows where.
+units; the miss column shows where.  Tasks are placed as ``rtorch simulate``
+places them: the scenario's ``initial_plan``, else first fit.  A rejected
+scenario prints one line and exits 1.
 """
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
+from rtorch.cli import initial_assignments
+from rtorch.orchestration import InfeasibleError
 from rtorch.reporting import build_report, render_table
-from rtorch.scenario import load_scenario
+from rtorch.scenario import ScenarioError, load_scenario
 from rtorch.simulation import run_sim
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -21,7 +26,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 def sweep_row(path: Path, duration_us: int | None, seed: int | None) -> str:
     scenario = load_scenario(path)
     trace = run_sim(
-        scenario.initial_plan or {},
+        initial_assignments(scenario),
         scenario.tasks,
         scenario.resources,
         noise=scenario.sim.noise,
@@ -33,7 +38,7 @@ def sweep_row(path: Path, duration_us: int | None, seed: int | None) -> str:
     return f"{len(scenario.tasks)} & {render_table(report)} & {misses}"
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scenario-dir", type=Path, default=REPO_ROOT / "scenarios")
     parser.add_argument("--duration-us", type=int, default=None,
@@ -45,8 +50,13 @@ def main() -> None:
     print("units & AVG & SKW & SD_MX & misses")
     for n in range(4, 11):
         path = args.scenario_dir / f"table1_{n}units.json"
-        print(sweep_row(path, args.duration_us, args.seed))
+        try:
+            print(sweep_row(path, args.duration_us, args.seed))
+        except (ScenarioError, InfeasibleError, ValueError) as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

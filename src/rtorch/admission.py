@@ -45,23 +45,16 @@ class AdmissionVerdict:
     reason: str
 
 
-def runtime_params(task: TaskSpec, fitted: Mapping[str, NormalParams] | None) -> NormalParams:
-    """Fitted runtime distribution for a task, falling back to its declared model."""
-    if fitted is not None:
-        params = fitted.get(task.id)
-        if params is not None:
-            return params
-    m = task.exec_model
-    return NormalParams(float(m.mu_us), float(m.sigma_us))
-
-
 def load_terms(task: TaskSpec, fits: Mapping[str, NormalParams] | None) -> tuple[float, float, float]:
     """What a task adds to its group's three sums: budget/period, mu/period and (sigma/period)**2.
 
-    The runtime model is ``runtime_params``; the arithmetic is that of
-    ``utilization`` and ``joint_utilization``.
+    The runtime model is the task's fit in ``fits``, else its declared
+    ``mu_us`` and ``sigma_us``; the arithmetic is that of ``utilization`` and
+    ``joint_utilization``.
     """
-    params = runtime_params(task, fits)
+    params = None if fits is None else fits.get(task.id)
+    if params is None:
+        params = NormalParams(float(task.exec_model.mu_us), float(task.exec_model.sigma_us))
     return utilization(task), params.mu / task.period_us, (params.sigma / task.period_us) ** 2
 
 

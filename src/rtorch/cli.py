@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 input error, 2 hard-criticality deadline miss
 (simulate), 3 infeasible plan (plan).  A simulate run in which some task
-completes no job exits 1 too, and writes nothing.  Set RTORCH_LOG=debug|info|...
-to raise log verbosity.  Runs are reproducible: the same scenario and seed produce
-byte-identical output files.
+completes no job exits 1 too, and a simulate run that exits 1 leaves no
+output behind.  Set RTORCH_LOG=debug|info|... to raise log verbosity.  Runs
+are reproducible: the same scenario and seed produce byte-identical output
+files.
 """
 from __future__ import annotations
 
@@ -93,11 +94,17 @@ def _bad_option(name: str, expected: str, value) -> int:
     return EXIT_INPUT
 
 
-def _initial_assignments(scenario: Scenario) -> dict[str, str]:
+def initial_assignments(scenario: Scenario) -> dict[str, str]:
     """Explicit plan if the scenario carries one, else first-fit by declining utilization."""
     if scenario.initial_plan is not None:
         return dict(scenario.initial_plan)
     return first_fit_plan(scenario.tasks, scenario.resources, scenario.orchestrator.thresholds)
+
+
+def _write_decisions(records, path) -> None:
+    with open(path, "w") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -109,7 +116,7 @@ def cmd_simulate(args) -> int:
         return _bad_option("--duration-us", "integer in [1, 2**53]", args.duration_us)
     try:
         scenario = load_scenario(args.scenario)
-        assignments = _initial_assignments(scenario)
+        assignments = initial_assignments(scenario)
     except (ScenarioError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -140,16 +147,22 @@ def cmd_simulate(args) -> int:
             d.rmdir()
         return EXIT_INPUT
 
+    outputs = [("trace.csv", write_trace_csv, trace), ("runtimes.csv", write_runtimes_csv, trace),
+               ("report.json", write_report_json, report), ("histogram.csv", export_histogram, report),
+               ("decisions.jsonl", _write_decisions, hook.records if hook is not None else [])]
+    opened = []  # the files this run opened, the last perhaps only part written
     try:
-        write_trace_csv(trace, out / "trace.csv")
-        write_runtimes_csv(trace, out / "runtimes.csv")
-        write_report_json(report, out / "report.json")
-        export_histogram(report, out / "histogram.csv")
-        with open(out / "decisions.jsonl", "w") as fh:
-            for record in (hook.records if hook is not None else []):
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        for name, write, data in outputs:
+            opened.append(out / name)
+            write(data, out / name)
     except OSError as exc:
         print(f"error: --out {out}: {exc.strerror}", file=sys.stderr)
+        if exc.filename is not None:  # open() failed: the file there is not this run's
+            opened.pop()
+        for path in opened:  # a failed write leaves no output behind
+            path.unlink(missing_ok=True)
+        for d in made:
+            d.rmdir()
         return EXIT_INPUT
     log.info("wrote %s", out)
 
@@ -248,7 +261,7 @@ def cmd_plan(args) -> int:
     seed = args.seed if args.seed is not None else scenario.sim.seed
 
     try:
-        incumbent = _initial_assignments(scenario)
+        incumbent = initial_assignments(scenario)
     except InfeasibleError as exc:
         if strategy is Strategy.NAIVE:
             print(f"infeasible: {exc}", file=sys.stderr)

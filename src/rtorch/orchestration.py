@@ -302,17 +302,12 @@ class _ObjectiveScreen:
         return list(zip((z_hi < sure).sum(axis=1).tolist(), worst.tolist(), (count > 0).sum(axis=1).tolist()))
 
 
-def build_plan(
-    assignments: Mapping[str, str],
-    tasks: Mapping[str, TaskSpec],
-    resources: Mapping[str, ResourceState],
-    fits: Mapping[str, NormalParams] | None = None,
-    evicted: frozenset[str] = frozenset(),
-) -> AllocationPlan:
-    """Assemble an AllocationPlan, computing fresh per-resource load summaries."""
+def build_plan(assignments: Mapping[str, str], tasks: Mapping[str, TaskSpec],
+               resources: Mapping[str, ResourceState]) -> AllocationPlan:
+    """Assemble an AllocationPlan whose per-resource summaries are those of the declared models."""
     per_resource = {
         rid: ResourceLoad(buffer=1.0 - load.reserved(), miss_prob=load.miss_prob())
-        for rid, load in group_loads(resources, tasks, assignments, fits, evicted).items()
+        for rid, load in group_loads(resources, tasks, assignments).items()
     }
     return AllocationPlan(assignments=dict(assignments), per_resource=per_resource)
 
@@ -404,11 +399,7 @@ class OrchestratorHook:
         self.records.append({
             "time_us": snapshot.now_us,
             "per_resource": {e.resource: e.miss_prob for e in evals},
-            "decision": None if decision is None else {
-                "moved": decision.moved,
-                "trigger": decision.trigger,
-                "evicted_best_effort": decision.evicted_best_effort,
-            },
+            "decision": None if decision is None else vars(decision),
         })
         if decision is None or not decision.moved:
             return None
@@ -433,13 +424,9 @@ def first_fit_plan(
                 assignments[task.id] = load.resource.id
                 break
         else:
-            raise InfeasibleError(task.id, f"task '{task.id}' admits on no resource")
+            raise InfeasibleError(f"task '{task.id}' admits on no resource")
     return assignments
 
 
 class InfeasibleError(Exception):
-    """No placement satisfies admission for the named task."""
-
-    def __init__(self, task_id: str, message: str):
-        super().__init__(message)
-        self.task_id = task_id
+    """No placement satisfies admission for the task its message names."""

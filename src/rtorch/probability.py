@@ -51,7 +51,7 @@ class NormalParams:
 def joint_utilization(models: Sequence[tuple[NormalParams, int]]) -> NormalParams:
     """Combine per-task runtime normals into one utilization-space normal.
 
-    Each entry is ``(runtime_params_us, period_us)``.  Means add as mu/period;
+    Each entry is ``(runtime normal in us, period_us)``.  Means add as mu/period;
     variances add as (sigma/period)^2.  Order never matters (exact summation).
     """
     if not models:

@@ -549,9 +549,6 @@ def write_trace_csv(trace: SimTrace, path) -> None:
 
 
 _HEADER = "task,runtime_us\n"
-# the paths break even near 300 rows; below 1,000 either takes well under a
-# millisecond, so small files keep the line loop
-_BULK_ROWS = 1000
 _US_DIGITS = len(str(MAX_US))
 # _ID_MASKS[k] keeps the first k bytes of a little-endian 8-byte word
 _ID_MASKS = np.array([(1 << 8 * k) - 1 for k in range(8)] + [2**64 - 1], dtype=np.uint64)
@@ -569,18 +566,15 @@ def write_runtimes_csv(trace: SimTrace, path) -> None:
 def read_runtimes_csv(path) -> dict[str, list[int]]:
     """Parse a runtimes CSV back into per-task sample lists (insertion order kept).
 
-    A long file as ``write_runtimes_csv`` writes it parses in NumPy passes
+    A file as ``write_runtimes_csv`` writes it parses in NumPy passes
     (``_read_bulk``); any other file goes through the line loop, which also
     words every error.
     """
     # universal newlines turn \r\n and a lone \r into \n, so lines split as a file iterates them
     with open(path) as fh:
         text = fh.read()
-    if text.count("\n") >= _BULK_ROWS:
-        out = _read_bulk(text)
-        if out is not None:
-            return out
-    return _read_lines(text)
+    out = _read_bulk(text)
+    return _read_lines(text) if out is None else out
 
 
 def _read_lines(text: str) -> dict[str, list[int]]:

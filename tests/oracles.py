@@ -154,6 +154,22 @@ def rta_response(tasks: Sequence[TaskSpec]) -> dict[str, int]:
     return out
 
 
+def processor_demand_ok(tasks: Sequence[TaskSpec]) -> bool:
+    """The processor-demand criterion for synchronous releases on one EDF CPU with constant demands.
+
+    dbf(t) = sum over tasks of max(0, floor((t - D) / T) + 1) * C must be at most t
+    at every absolute deadline t up to the hyperperiod plus the longest deadline
+    (Baruah, Rosier & Howell 1990), in integers.  C is ``exec_model.mu_us``.
+    """
+    horizon = math.lcm(*(t.period_us for t in tasks)) + max(t.deadline_us for t in tasks)
+    for at in sorted({d for t in tasks for d in range(t.deadline_us, horizon + 1, t.period_us)}):
+        demand = sum(((at - t.deadline_us) // t.period_us + 1) * t.exec_model.mu_us
+                     for t in tasks if at >= t.deadline_us)
+        if demand > at:
+            return False
+    return True
+
+
 def edf_window_demand(budgets_us: list[int], copies: int = 1) -> int:
     """Total demand of one synchronous batch; fits iff <= the common period."""
     return copies * sum(budgets_us)
@@ -161,7 +177,7 @@ def edf_window_demand(budgets_us: list[int], copies: int = 1) -> int:
 
 def mc_reallocate_reference(view, thresholds, mc_samples: int, seed: int):
     """The Monte Carlo placement search as a plain loop: one draw and one exact score per sample."""
-    from rtorch.orchestration import build_plan, plan_objective
+    from rtorch.orchestration import plan_objective
 
     res_ids = list(view.resources)
     movable = [tid for tid in view.tasks if tid not in view.cooldown]
@@ -178,7 +194,7 @@ def mc_reallocate_reference(view, thresholds, mc_samples: int, seed: int):
         if obj < best_obj:
             best_obj = obj
             best_assign = candidate
-    return build_plan(best_assign, view.tasks, view.resources, view.fits, view.evicted)
+    return AllocationPlan(assignments=best_assign)
 
 
 def first_fit_reference(tasks, resources, thresholds, fits=None):
@@ -198,7 +214,7 @@ def first_fit_reference(tasks, resources, thresholds, fits=None):
                 assignments[task.id] = res.id
                 break
         else:
-            raise InfeasibleError(task.id, f"task '{task.id}' admits on no resource")
+            raise InfeasibleError(f"task '{task.id}' admits on no resource")
     return assignments
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import rm_bound_exact
-from rtorch.admission import GroupLoad, admit, edf_bound, load_terms, rm_bound, runtime_params
+from rtorch.admission import GroupLoad, admit, edf_bound, load_terms, rm_bound
 from rtorch.model import Criticality, ExecModel, Policy, ResourceState, TaskSpec
 from rtorch.probability import NormalParams, joint_utilization, miss_probability
 
@@ -21,7 +21,9 @@ def assert_same_as_rebuilt(load, thresholds, threshold):
     assert load.miss_prob() == rebuilt.miss_prob()
     assert load.threshold(thresholds) == rebuilt.threshold(thresholds)
     if load.tasks:
-        models = [(runtime_params(t, load.fits), t.period_us) for t in load.tasks]
+        fits = load.fits or {}  # the fit if there is one, else the declared model
+        models = [(fits.get(t.id) or NormalParams(float(t.exec_model.mu_us), float(t.exec_model.sigma_us)),
+                   t.period_us) for t in load.tasks]
         assert load.miss_prob() == miss_probability(joint_utilization(models), load.resource.u_max)
         assert load.verdict(threshold) == rebuilt.verdict(threshold)
 

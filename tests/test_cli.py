@@ -1,3 +1,4 @@
+import errno
 import json
 import logging
 import math
@@ -424,6 +425,25 @@ def test_unwritable_output_file_exits_one_with_one_line(name, tmp_path, capsys):
     assert stdout == ""
     assert err.count("\n") == 1
     assert err.startswith(f"error: --out {out}: ")
+    assert list(out.iterdir()) == [out / name]  # the blocked name stays, no other output does
+    assert (out / name).is_dir()
+
+
+def test_failed_write_removes_the_outputs_and_the_out_directories_it_made(tmp_path, capsys, monkeypatch):
+    def no_space(report, path):
+        with open(path, "w") as fh:
+            fh.write("{")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "write_report_json", no_space)
+    out = tmp_path / "new" / "run"
+    argv = ["simulate", "--scenario", str(SCENARIO_DIR / "table1_4units.json"), "--duration-us", "1000000",
+            "--out", str(out)]
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: --out {out}: {os.strerror(errno.ENOSPC)}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rejected_run_removes_only_the_out_directories_it_made(tmp_path, capsys):

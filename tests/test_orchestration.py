@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rtorch import admission, orchestration
-from rtorch.admission import GroupLoad
+from rtorch import orchestration
+from rtorch.admission import GroupLoad, group_loads
 from rtorch.model import Criticality, ExecModel, Policy, ResourceState, TaskSpec
 from rtorch.orchestration import (
     COOLDOWN_EPOCHS,
@@ -190,9 +190,9 @@ def test_mc_search_splits_even_load_across_cpus():
         sum(1 for rid in plan.assignments.values() if rid == cpu) for cpu in ("cpu0", "cpu1")
     )
     assert sizes == [2, 2]
-    for load in build_plan(plan.assignments, view.tasks, view.resources, fits).per_resource.values():
-        assert load.miss_prob < 1e-4
-        assert load.buffer == pytest.approx(0.2)
+    for load in group_loads(view.resources, view.tasks, plan.assignments, fits).values():
+        assert load.miss_prob() < 1e-4
+        assert 1.0 - load.reserved() == pytest.approx(0.2)
 
 
 def test_mc_search_respects_cooldown_pins():
@@ -487,7 +487,7 @@ def test_first_fit_raises_when_nothing_fits():
     cpus = [mk_cpu("cpu0")]
     with pytest.raises(InfeasibleError) as err:
         first_fit_plan([giant, blocker], cpus)
-    assert err.value.task_id == "blocker"
+    assert str(err.value) == "task 'blocker' admits on no resource"
 
 
 @st.composite
@@ -521,7 +521,7 @@ def test_first_fit_matches_reference(system):
         try:
             return first_fit(*system)
         except InfeasibleError as exc:
-            return exc.task_id
+            return str(exc)
 
     assert outcome(first_fit_plan) == outcome(first_fit_reference)
 
@@ -567,13 +567,13 @@ def test_mc_search_scores_few_samples_exactly_on_benchmark_systems(name, monkeyp
 
 def test_first_fit_resolves_each_runtime_model_once(monkeypatch):
     calls = Counter()
-    resolve = admission.runtime_params
+    resolve = orchestration.load_terms
 
     def counting(task, fits):
         calls[task.id] += 1
         return resolve(task, fits)
 
-    monkeypatch.setattr(admission, "runtime_params", counting)
+    monkeypatch.setattr(orchestration, "load_terms", counting)
     scenario = parse_scenario(BENCH_SYSTEMS["placement-1-100x16"])
     first_fit_plan(scenario.tasks, scenario.resources, scenario.orchestrator.thresholds)
     assert calls == Counter(t.id for t in scenario.tasks)
@@ -593,23 +593,24 @@ def test_epoch_plan_and_objective_agree_on_miss_probabilities(system, data):
 
     evals = evaluate_epoch(view, OrchestratorConfig())
     assert {e.resource: e.miss_prob for e in evals} == expected
-    plan = build_plan(assignments, view.tasks, view.resources, fits, evicted)
-    assert {rid: load.miss_prob for rid, load in plan.per_resource.items()} == expected
+    loads = group_loads(view.resources, view.tasks, assignments, fits, evicted)
+    assert {rid: load.miss_prob() for rid, load in loads.items()} == expected
     breached, worst, occupied = plan_objective(view, assignments, DEFAULT_THRESHOLDS)
     assert worst == max(expected.values())
     assert breached == sum(e.breached for e in evals)
     assert occupied == len({rid for tid, rid in assignments.items() if tid not in evicted})
 
 
-def test_build_plan_excludes_evicted_tasks_from_load():
+def test_group_loads_exclude_evicted_tasks_from_load():
     tasks, cpus, assignments, fits = camera_system()
     spread = dict(assignments, cam_a="cpu1")
-    plan = build_plan(spread, {t.id: t for t in tasks}, {r.id: r for r in cpus},
-                      fits, evicted=frozenset({"bg_worker"}))
+    tasks, cpus = {t.id: t for t in tasks}, {r.id: r for r in cpus}
+    loads = group_loads(cpus, tasks, spread, fits, evicted=frozenset({"bg_worker"}))
+    assert 1.0 - loads["cpu1"].reserved() == pytest.approx(0.5)  # cam_a only
+    assert 1.0 - loads["cpu0"].reserved() == pytest.approx(0.5)  # cam_b only
+    assert loads["cpu0"].miss_prob() < 1e-10
+    plan = build_plan(spread, tasks, cpus)
     assert plan.assignments["bg_worker"] == "cpu1"
-    assert plan.per_resource["cpu1"].buffer == pytest.approx(0.5)  # cam_a only
-    assert plan.per_resource["cpu0"].buffer == pytest.approx(0.5)  # cam_b only
-    assert plan.per_resource["cpu0"].miss_prob < 1e-10
     shape = asdict(plan)
     assert set(shape) == {"assignments", "per_resource"}
     assert set(shape["per_resource"]["cpu0"]) == {"buffer", "miss_prob"}

@@ -1,10 +1,11 @@
 import itertools
+import math
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rtorch import simulation
 from rtorch.model import ExecModel, MixtureMode, Policy, ResourceState, TaskSpec
@@ -27,6 +28,7 @@ from conftest import SCENARIO_DIR
 from oracles import (
     demand_stream_reference,
     events_of,
+    processor_demand_ok,
     read_runtimes_csv_reference,
     rta_response,
     run_sim_reference,
@@ -633,15 +635,16 @@ _TASK_IDS = st.text(st.characters(blacklist_categories=("Cc", "Cs"), blacklist_c
 
 @st.composite
 def canonical_runtimes(draw):
-    """The text of a long runtimes CSV as ``write_runtimes_csv`` writes it.
+    """The text of a runtimes CSV as ``write_runtimes_csv`` writes it.
 
-    One to five tasks, values across +-2**53 repeated past ``_BULK_ROWS`` rows;
-    the first task may come back after the others, as rows appended by hand.
+    One to five tasks, values across +-2**53 repeated 1 to 40 times, so from
+    one row to 1,200; the first task may come back after the others, as rows
+    appended by hand.
     """
     tids = draw(st.lists(_TASK_IDS, min_size=1, max_size=5, unique=True))
     values = st.lists(st.integers(-(2**53), 2**53), min_size=1, max_size=6)
     runtimes = {tid: draw(values) for tid in tids}
-    repeat = -(-simulation._BULK_ROWS // sum(map(len, runtimes.values()))) + draw(st.integers(0, 2))
+    repeat = draw(st.integers(1, 40))
     runtimes = {tid: samples * repeat for tid, samples in runtimes.items()}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "runtimes.csv"
@@ -663,6 +666,7 @@ def _outcome(reader, text):
 
 
 @given(canonical_runtimes())
+@example("task,runtime_us\na,1\n")
 def test_canonical_runtimes_csv_reads_in_bulk_as_the_reference_reads_it(text):
     assert simulation._read_bulk(text) is not None  # the bulk pass takes it
     assert _outcome(read_runtimes_csv, text) == _outcome(read_runtimes_csv_reference, text)
@@ -1029,11 +1033,15 @@ def test_one_completion_event_per_period_on_table1(monkeypatch):
     assert len(pushed) == 600
 
 
+# criterion 04's period menu
+PERIOD_MENU = [20_000, 25_000, 40_000, 50_000, 100_000]
+
+
 @st.composite
 def rm_task_sets(draw):
     """1-5 constant-demand tasks on criterion 04's period menu, at a total utilization of at most 1."""
     n = draw(st.integers(1, 5))
-    periods = draw(st.lists(st.sampled_from([20_000, 25_000, 40_000, 50_000, 100_000]), min_size=n, max_size=n))
+    periods = draw(st.lists(st.sampled_from(PERIOD_MENU), min_size=n, max_size=n))
     weights = draw(st.lists(st.integers(1, 100), min_size=n, max_size=n))
     target = Fraction(draw(st.integers(30, 100)), 100)
     tasks = [fixed_task(f"t{i}", period, max(1, int(period * target * w / sum(weights))))
@@ -1056,3 +1064,29 @@ def test_rm_first_response_times_match_response_time_analysis(tasks):
         if kind == "complete":
             first.setdefault(tid, time_us)
     assert first == expected
+
+
+@st.composite
+def edf_demand_sets(draw):
+    """1-5 constant-demand tasks on criterion 04's period menu, each deadline a quarter
+    period to the period and each demand 0.4 to 2.2 times its deadline over the task
+    count, so that both feasible and infeasible sets are drawn."""
+    n = draw(st.integers(1, 5))
+    tasks = []
+    for i in range(n):
+        period = draw(st.sampled_from(PERIOD_MENU))
+        deadline = draw(st.integers(period // 4, period))
+        demand = max(1, deadline * draw(st.integers(40, 220)) // (100 * n))
+        tasks.append(fixed_task(f"t{i}", period, demand, budget_us=min(demand, deadline), deadline_us=deadline))
+    return tasks
+
+
+@settings(max_examples=200, deadline=None)
+@given(edf_demand_sets())
+@example([fixed_task("a", 20_000, 3_000, deadline_us=6_000), fixed_task("b", 25_000, 3_000, deadline_us=6_000)])
+@example([fixed_task("a", 20_000, 3_000, deadline_us=6_000), fixed_task("b", 25_000, 3_001, deadline_us=6_000)])
+def test_edf_misses_a_deadline_exactly_when_processor_demand_fails(tasks):
+    # over the hyperperiod plus the longest deadline, EDF misses iff some dbf(t) > t
+    horizon = math.lcm(*(t.period_us for t in tasks)) + max(t.deadline_us for t in tasks)
+    trace = run_sim({t.id: "cpu0" for t in tasks}, tasks, [edf_cpu()], duration_us=horizon)
+    assert (sum(trace.miss_counts().values()) > 0) == (not processor_demand_ok(tasks))
