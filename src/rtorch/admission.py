@@ -54,8 +54,10 @@ def load_terms(task: TaskSpec, fits: Mapping[str, NormalParams] | None) -> tuple
     """
     params = None if fits is None else fits.get(task.id)
     if params is None:
-        params = NormalParams(float(task.exec_model.mu_us), float(task.exec_model.sigma_us))
-    return utilization(task), params.mu / task.period_us, (params.sigma / task.period_us) ** 2
+        mu, sigma = float(task.exec_model.mu_us), float(task.exec_model.sigma_us)
+    else:
+        mu, sigma = params
+    return utilization(task), mu / task.period_us, (sigma / task.period_us) ** 2
 
 
 class GroupLoad:
@@ -100,8 +102,7 @@ class GroupLoad:
         """P(group utilization > u_max); 0 for no tasks."""
         if not self.tasks:
             return 0.0
-        joint = NormalParams(math.fsum(self.mu), math.sqrt(math.fsum(self.var)))
-        return miss_probability(joint, self.resource.u_max)
+        return miss_probability((math.fsum(self.mu), math.sqrt(math.fsum(self.var))), self.resource.u_max)
 
     def threshold(self, thresholds: Mapping[Criticality, float], candidate: TaskSpec | None = None) -> float:
         """Strictest threshold among the hosted tasks and ``candidate``; 1.0 for none."""

@@ -16,7 +16,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict
 from itertools import takewhile
 from pathlib import Path
 
@@ -272,7 +271,8 @@ def cmd_plan(args) -> int:
     if strategy is Strategy.MONTE_CARLO:
         view = SystemView(now_us=0, tasks=tasks, resources=resources, assignments=incumbent, fits={})
         incumbent = mc_reallocate(view, thresholds, mc_samples, seed).assignments
-    print(json.dumps(asdict(build_plan(incumbent, tasks, resources)), indent=2, sort_keys=True))
+    # from the plan's and its ResourceLoads' own fields; ``asdict`` would deep-copy them
+    print(json.dumps(build_plan(incumbent, tasks, resources), default=vars, indent=2, sort_keys=True))
     return EXIT_OK
 
 

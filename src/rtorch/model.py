@@ -20,6 +20,9 @@ class Criticality(Enum):
     SOFT = "soft"
     BEST_EFFORT = "best_effort"
 
+    # members are singletons compared by identity; Enum's own hash is a Python-level hash of the name
+    __hash__ = object.__hash__
+
     @property
     def rank(self) -> int:
         """0 is most critical; larger means less critical."""
@@ -32,6 +35,8 @@ _CRIT_RANK = {Criticality.HARD: 0, Criticality.SOFT: 1, Criticality.BEST_EFFORT:
 class Policy(Enum):
     EDF = "EDF"
     RM = "RM"
+
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,7 @@ class AllocationPlan:
     Treat instances as immutable: changing assignments means building a new
     plan (see ``orchestration.build_plan``), which recomputes ``per_resource``
     so the summaries can never go stale.  ``mc_reallocate`` leaves them empty.
-    ``plan`` prints ``dataclasses.asdict`` of one: the field names are its keys.
+    ``plan`` prints one from its own fields and its summaries' (``vars``): the field names are its keys.
     """
 
     assignments: Mapping[str, str]

@@ -264,6 +264,10 @@ class _ObjectiveScreen:
         tasks = [view.tasks[tid] for tid in ids]
         terms = np.array([view.terms[tid] for tid in ids]).reshape(-1, 3)
         self.mu, self.var = terms[:, 1], terms[:, 2]
+        # the picks are the cells when nothing is pinned or evicted, and the |mu| sums the
+        # mu sums when no mean is negative (declared means and measured runtimes never are)
+        self.drawn_only = len(self.cols) == len(movable) and not pinned
+        self.abs_mu = np.abs(self.mu) if (self.mu < 0).any() else None
         # strictest level last, so it overwrites the others where present
         levels = sorted({t.criticality for t in tasks}, key=lambda c: -thresholds[c])
         self.levels = [
@@ -275,9 +279,12 @@ class _ObjectiveScreen:
     def bounds(self, picks: np.ndarray) -> list[tuple]:
         """Lower (breached, worst, occupied) bound of each row of ``picks``."""
         n, n_res = len(picks), len(self.u_max)
-        pinned = np.broadcast_to(self.pinned, (n, len(self.pinned)))
-        cells = np.concatenate([picks[:, self.cols], pinned], axis=1)
-        cells += np.arange(n)[:, None] * n_res
+        offsets = np.arange(n)[:, None] * n_res
+        if self.drawn_only:
+            cells = picks + offsets
+        else:
+            cells = np.concatenate([picks[:, self.cols], np.broadcast_to(self.pinned, (n, len(self.pinned)))], axis=1)
+            cells += offsets
 
         def per_cell(columns=slice(None), weights=None):
             flat = cells[:, columns].ravel()
@@ -289,7 +296,7 @@ class _ObjectiveScreen:
         mu = per_cell(weights=self.mu)
         var = per_cell(weights=self.var)
         slack = (count + 4) * ULP
-        mu_err = slack * per_cell(weights=np.abs(self.mu))
+        mu_err = slack * (mu if self.abs_mu is None else per_cell(weights=self.abs_mu))
         var_err = slack * var
         # unoccupied cells keep a -inf cutoff and never count as breached
         sure = np.full((n, n_res), -np.inf)

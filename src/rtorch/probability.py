@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -40,9 +40,12 @@ MIN_FIT_SAMPLES = 30
 GOODNESS_POOR = 0.1
 
 
-@dataclass(frozen=True)
-class NormalParams:
-    """Mean and standard deviation of a normal distribution."""
+class NormalParams(NamedTuple):
+    """Mean and standard deviation of a normal distribution.
+
+    A named pair: ``miss_probability`` and ``admission.load_terms`` unpack it,
+    so they also accept a plain ``(mu, sigma)`` pair.
+    """
 
     mu: float
     sigma: float
@@ -61,15 +64,17 @@ def joint_utilization(models: Sequence[tuple[NormalParams, int]]) -> NormalParam
     return NormalParams(mu, math.sqrt(var))
 
 
-def miss_probability(joint: NormalParams, u_max: float) -> float:
+def miss_probability(joint: tuple[float, float], u_max: float) -> float:
     """P(group utilization > u_max) for a normal group utilization.
 
+    ``joint`` is its ``NormalParams`` or a plain ``(mu, sigma)`` pair.
     Degenerate case sigma == 0: 0 if the deterministic load fits, else 1.
     """
-    if joint.sigma == 0.0:
-        return 0.0 if joint.mu <= u_max else 1.0
+    mu, sigma = joint
+    if sigma == 0.0:
+        return 0.0 if mu <= u_max else 1.0
     # upper tail 1 - Phi(z) computed directly from erfc to keep precision for z >> 0
-    z = (u_max - joint.mu) / joint.sigma
+    z = (u_max - mu) / sigma
     return 0.5 * math.erfc(z / _SQRT2)
 
 

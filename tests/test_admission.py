@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oracles import rm_bound_exact
 from rtorch.admission import GroupLoad, admit, edf_bound, load_terms, rm_bound
@@ -137,6 +137,17 @@ def test_fitted_runtimes_override_declared_model():
     verdict = admit(cpu, [cam_a], cam_b, threshold=0.05, fitted=fitted)
     assert verdict.admitted
     assert verdict.miss_prob < 1e-4
+
+
+@given(st.integers(1, 2**53), st.integers(0, 2**53), st.integers(0, 2**53))
+@example(period_us=1, mu_us=2**53, sigma_us=2**53)
+@example(period_us=3, mu_us=2**53 - 1, sigma_us=2**53 - 1)
+@example(period_us=2**53 - 1, mu_us=2**53, sigma_us=1)
+def test_load_terms_read_the_declared_model_as_they_read_the_same_fit(period_us, mu_us, sigma_us):
+    """The fallback reads ``mu_us`` and ``sigma_us`` without building a record, to the same bits."""
+    task = make_task("t", period_us, 1, mu_us, sigma_us)
+    fitted = load_terms(task, {task.id: NormalParams(float(mu_us), float(sigma_us))})
+    assert repr(load_terms(task, None)) == repr(load_terms(task, {"other": NormalParams(0.0, 0.0)})) == repr(fitted)
 
 
 def test_rejects_candidate_already_hosted():

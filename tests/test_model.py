@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -129,6 +131,21 @@ def test_validate_flags_overweight_mixture():
 
 def test_criticality_rank_ordering():
     assert Criticality.HARD.rank < Criticality.SOFT.rank < Criticality.BEST_EFFORT.rank
+
+
+@pytest.mark.parametrize("member", [*Criticality, *Policy], ids=repr)
+def test_enum_members_come_back_as_themselves_so_identity_hashing_is_sound(member):
+    """Members hash by identity, which agrees with ``==`` only while no copy is a new object."""
+    cls = type(member)
+    copies = [copy.copy(member), copy.deepcopy(member), cls(member.value)]
+    copies += [pickle.loads(pickle.dumps(member, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    thresholds = {m: i / 10 for i, m in enumerate(cls)}
+    tables = [copy.copy(thresholds), copy.deepcopy(thresholds), pickle.loads(pickle.dumps(thresholds))]
+    for other in copies:
+        assert other is member
+        assert thresholds[other] == thresholds[member]
+    for table in tables:
+        assert table[member] == thresholds[member]
 
 
 def _id_forbidden_reference(c):

@@ -283,15 +283,21 @@ def test_mc_search_matches_scan_on_random_systems(system, seed, mc_samples, data
     tasks, resources, assignments, fits = system
     ids = [t.id for t in tasks]
     subset = st.frozensets(st.sampled_from(ids))
-    view = mk_view(tasks, resources, assignments, fits,
-                   cooldown=data.draw(subset), evicted=data.draw(subset))
+    # a fitted mean may be negative, unlike a declared one; the screen then sums |mu| apart
+    negative = data.draw(subset)
+    fits = {tid: NormalParams(-fit.mu, fit.sigma) if tid in negative else fit for tid, fit in fits.items()}
+    # with nothing pinned or evicted the screen groups the sampled picks as they are
+    drawn_only = data.draw(st.booleans())
+    cooldown, evicted = (frozenset(), frozenset()) if drawn_only else (data.draw(subset), data.draw(subset))
+    view = mk_view(tasks, resources, assignments, fits, cooldown=cooldown, evicted=evicted)
     expected = mc_reallocate_reference(view, DEFAULT_THRESHOLDS, mc_samples, seed)
     assert mc_reallocate(view, DEFAULT_THRESHOLDS, mc_samples, seed).assignments == expected.assignments
 
 
 @st.composite
 def screened_systems(draw):
-    """Mixed criticalities, thresholds 0 and 1, and deterministic groups that fill u_max exactly."""
+    """Mixed criticalities, thresholds 0 and 1, deterministic groups that fill u_max exactly,
+    and fitted means that may be negative."""
     u_max = draw(st.sampled_from([0.5, 0.7, 1.0]))
     resources = [mk_cpu(f"cpu{i}", u_max=u_max) for i in range(draw(st.integers(1, 4)))]
     tasks = []
@@ -304,8 +310,16 @@ def screened_systems(draw):
         tasks.append(mk_task(f"t{i}", period, mu, crit=crit, mu_us=mu, sigma_us=sigma))
     assignments = {t.id: draw(st.sampled_from(resources)).id for t in tasks}
     thresholds = {c: draw(st.sampled_from([0.0, 1e-12, 1e-4, 1e-2, 0.5, 1.0])) for c in Criticality}
+    # some tasks run on a fit, whose mean, unlike a declared one, may be negative
+    fits = {}
+    for t in tasks:
+        scale = draw(st.sampled_from([None, None, 1.0, 0.5, -0.5, -1.0]))
+        if scale is not None:
+            fits[t.id] = NormalParams(scale * t.exec_model.mu_us, float(t.exec_model.sigma_us))
     ids = st.frozensets(st.sampled_from([t.id for t in tasks]))
-    view = mk_view(tasks, resources, assignments, cooldown=draw(ids), evicted=draw(ids))
+    # nothing pinned or evicted, or any cooldown and eviction sets
+    cooldown, evicted = (frozenset(), frozenset()) if draw(st.booleans()) else (draw(ids), draw(ids))
+    view = mk_view(tasks, resources, assignments, fits, cooldown=cooldown, evicted=evicted)
     return view, thresholds
 
 
@@ -333,6 +347,19 @@ def test_objective_screen_counts_a_deterministic_group_at_u_max_as_undecided():
     picks = np.zeros((1, len(movable)), dtype=np.int64)
     lows = orchestration._ObjectiveScreen(view, DEFAULT_THRESHOLDS, movable, res_ids).bounds(picks)
     assert plan_objective(view, view.assignments, DEFAULT_THRESHOLDS) == (1, 1.0, 1)
+    assert lows[0] == (0, 0.0, 1)
+
+
+def test_objective_screen_allows_for_cancellation_among_negative_fitted_means():
+    """Fitted utilization means of -0.6, 1e16, -1e16 and 1 sum to 0.4 on a 0.5 CPU, which fits.
+    Added in that order they give 1.0, so the screen must widen the sum by its |mu| terms."""
+    tasks = [mk_task(f"n{i}", 1, 1) for i in range(4)]
+    fits = {t.id: NormalParams(mu, 0.0) for t, mu in zip(tasks, (-0.6, 1e16, -1e16, 1.0))}
+    view = mk_view(tasks, [mk_cpu("cpu0", u_max=0.5)], {t.id: "cpu0" for t in tasks}, fits)
+    movable = list(view.tasks)
+    picks = np.zeros((1, len(movable)), dtype=np.int64)
+    lows = orchestration._ObjectiveScreen(view, DEFAULT_THRESHOLDS, movable, ["cpu0"]).bounds(picks)
+    assert plan_objective(view, view.assignments, DEFAULT_THRESHOLDS) == (0, 0.0, 1)
     assert lows[0] == (0, 0.0, 1)
 
 

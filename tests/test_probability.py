@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rtorch.model import ExecModel, TaskSpec
 from rtorch.probability import (
@@ -80,6 +80,30 @@ def test_degenerate_miss_probability():
     assert miss_probability(NormalParams(0.8, 0.0), 1.0) == 0.0
     assert miss_probability(NormalParams(1.0, 0.0), 1.0) == 0.0
     assert miss_probability(NormalParams(1.2, 0.0), 1.0) == 1.0
+
+
+@given(
+    mu=st.floats(-10.0, 10.0),
+    # 0, subnormals, and spreads small enough that |z| passes 40
+    sigma=st.one_of(st.just(0.0), st.floats(0.0, 2.0 ** -1022), st.floats(0.0, 1e-3), st.floats(0.0, 10.0)),
+    u_max=st.floats(0.01, 1.0),
+)
+@example(mu=0.5, sigma=0.0, u_max=0.7)
+@example(mu=0.7, sigma=0.0, u_max=0.7)
+@example(mu=0.9, sigma=0.0, u_max=0.7)
+@example(mu=0.7, sigma=5e-324, u_max=0.7)
+@example(mu=0.9, sigma=5e-324, u_max=0.7)
+@example(mu=0.0, sigma=0.01, u_max=0.5)  # z = 50
+@example(mu=1.0, sigma=0.01, u_max=0.5)  # z = -50
+def test_miss_probability_reads_a_plain_pair_bit_for_bit_as_normal_params(mu, sigma, u_max):
+    """``GroupLoad.miss_prob`` passes a plain ``(mu, sigma)`` pair; it must get a record's bits,
+    and those of the tail written out from the record's fields."""
+    joint = NormalParams(mu, sigma)
+    if joint.sigma == 0.0:
+        written = 0.0 if joint.mu <= u_max else 1.0
+    else:
+        written = 0.5 * math.erfc((u_max - joint.mu) / joint.sigma / math.sqrt(2.0))
+    assert miss_probability((mu, sigma), u_max).hex() == miss_probability(joint, u_max).hex() == written.hex()
 
 
 @given(
