@@ -5,8 +5,9 @@ Columns: unit count, AVG (group mean runtime, us), SKW (min/max deviation of
 task means from the group average, us), SD_MX (stddev of the task straying
 furthest) and the total deadline misses.  The load tips between 9 and 10
 units; the miss column shows where.  Tasks are placed as ``rtorch simulate``
-places them: the scenario's ``initial_plan``, else first fit.  A rejected
-scenario prints one line and exits 1.
+places them: the scenario's ``initial_plan``, else first fit.  ``--duration-us``
+must be within [1, 2**53], as a scenario's ``sim.duration_us``; it is checked
+before any run.  A rejected option or scenario prints one line and exits 1.
 """
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from rtorch.cli import initial_assignments
+from rtorch.cli import _bad_option, initial_assignments
+from rtorch.model import MAX_US
 from rtorch.orchestration import InfeasibleError
 from rtorch.reporting import build_report, render_table
 from rtorch.scenario import ScenarioError, load_scenario
@@ -30,7 +32,7 @@ def sweep_row(path: Path, duration_us: int | None, seed: int | None) -> str:
         scenario.tasks,
         scenario.resources,
         noise=scenario.sim.noise,
-        duration_us=duration_us or scenario.sim.duration_us,
+        duration_us=scenario.sim.duration_us if duration_us is None else duration_us,
         seed=scenario.sim.seed if seed is None else seed,
     )
     report = build_report(trace)
@@ -46,6 +48,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override every scenario's seed")
     args = parser.parse_args()
+    if args.duration_us is not None and not 1 <= args.duration_us <= MAX_US:
+        return _bad_option("--duration-us", "integer in [1, 2**53]", args.duration_us)
 
     print("units & AVG & SKW & SD_MX & misses")
     for n in range(4, 11):

@@ -20,7 +20,7 @@ from itertools import takewhile
 from pathlib import Path
 
 from .admission import admit
-from .model import MAX_US, Criticality, utilization
+from .model import MAX_US, MAX_US_DIGITS, Criticality, utilization
 from .orchestration import (
     InfeasibleError,
     OrchestratorHook,
@@ -107,8 +107,8 @@ def _write_decisions(records, path) -> None:
 
 
 def cmd_simulate(args) -> int:
-    if args.bin_width_us < 1:
-        return _bad_option("--bin-width-us", "positive integer", args.bin_width_us)
+    if not 1 <= args.bin_width_us <= MAX_US:
+        return _bad_option("--bin-width-us", "integer in [1, 2**53]", args.bin_width_us)
     if args.seed is not None and args.seed < 0:
         return _bad_option("--seed", "non-negative integer", args.seed)
     if args.duration_us is not None and not 1 <= args.duration_us <= MAX_US:
@@ -194,7 +194,7 @@ def cmd_analyze(args) -> int:
     for override in args.task_period:
         tid, _, value = override.partition("=")
         # a value longer than MAX_US is out of range, and int() refuses past 4,300 digits
-        if (tid not in samples or not value.isdecimal() or len(value) > len(str(MAX_US))
+        if (tid not in samples or not value.isdecimal() or len(value) > MAX_US_DIGITS
                 or not 1 <= int(value) <= MAX_US):
             print(f"error: --task-period {override!r}: unknown task or bad period", file=sys.stderr)
             return EXIT_INPUT

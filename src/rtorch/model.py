@@ -189,6 +189,7 @@ def validate_task(task: TaskSpec) -> list[str]:
 _REQUIRED = object()
 # the largest integer a float holds exactly: no float made from a duration this small overflows
 MAX_US = 2 ** 53
+MAX_US_DIGITS = len(str(MAX_US))
 _INT_KINDS = {None: "integer", 0: "non-negative integer", 1: "positive integer"}
 
 

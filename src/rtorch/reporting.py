@@ -45,8 +45,6 @@ class RunReport:
 
 def _bin_runtimes(column: np.ndarray, bin_width: int) -> tuple[int, array]:
     lo0 = (int(column.min()) // bin_width) * bin_width
-    if int(column.max()) - lo0 < bin_width:  # one bin; also keeps a bin width past int64 out of NumPy
-        return lo0, array("q", [len(column)])
     return lo0, array("q", np.bincount((column - lo0) // bin_width).astype(np.int64).tobytes())
 
 

@@ -34,12 +34,12 @@ position).  One rule per JSON type; no value is converted to another type:
 - boolean: ``enabled``.  string: ids, ``policy``, ``criticality``, ``strategy``.
 - array: ``tasks`` and ``resources`` (both non-empty), ``mixture``.
 
-Ids must be non-empty and hold no comma, double quote, whitespace or control
-character, so they survive a CSV row.  Ranges: ``u_max`` in (0, 1], thresholds
-in [0, 1], ``fit_window`` at least ``MIN_FIT_SAMPLES`` (30), ``cutoff_lo_us`` and
-jitter ``sigma_us`` >= 0, interference rate and magnitude positive with
-``rate_per_s * magnitude_us`` at most 1e6, and ``model.validate_task``.  Every ``_us``
-value, the jitter's too, is at most 2**53 in magnitude, so no float made from one overflows.
+Ids must be non-empty and hold no comma, double quote, whitespace or control character, so
+they survive a CSV row.  Ranges: ``u_max`` in (0, 1], thresholds in [0, 1], ``fit_window`` at
+least ``MIN_FIT_SAMPLES`` (30), ``cutoff_lo_us`` and jitter ``sigma_us`` >= 0, interference
+rate and magnitude positive with ``rate_per_s * magnitude_us`` at most 1e6, and
+``model.validate_task``.  Every ``_us`` value, the jitter's too, is at most 2**53 in magnitude,
+so no float made from one overflows and sums of a few of them fit an int64.
 """
 from __future__ import annotations
 

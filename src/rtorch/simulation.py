@@ -49,7 +49,7 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from .model import MAX_US, ExecModel, Policy, ResourceState, TaskSpec
+from .model import MAX_US, MAX_US_DIGITS, ExecModel, Policy, ResourceState, TaskSpec
 from .probability import NormalParams
 
 _R_RELEASE = 0
@@ -177,20 +177,19 @@ class SimHook(Protocol):
 
 
 _DEMAND_BLOCK = 256  # demands (and interference gaps) per NumPy call; the values do not depend on it
-_EXACT = 2**52  # below this, integer-valued float64 sums are exact
 
 
 def demand_stream(model: ExecModel, noise: NoiseModel, seed: np.random.SeedSequence, releases: int) -> Iterator[int]:
     """Yield the demands of a task's first ``releases`` jobs, drawn from ``seed`` alone.
 
-    A demand is the mixture-normal runtime rounded half to even and clamped
-    to [cutoff_lo, wcet], plus the base overhead, plus the latency jitter
-    rounded and truncated at zero, so it never drops below cutoff_lo.  Each
-    job takes from a PCG64 seeded by ``seed`` the runtime's standard normal z
-    (if sigma is positive), then the jitter's (if its sigma is positive), as
-    ``mu + sigma * z``; a mixture picks each job's mode with one uniform from
-    that PCG64 jumped ahead (``PCG64.jumped``).  NumPy draws the same numbers
-    however a sequence is split, so ``_DEMAND_BLOCK`` does not change the demands.
+    A demand is the mixture-normal runtime rounded half to even and clamped to [cutoff_lo,
+    wcet], plus the base overhead, plus the latency jitter rounded and truncated at zero, so it
+    never drops below cutoff_lo.  It is an int64: for the values the scenario reader accepts
+    (every ``_us`` at most 2**53 in magnitude) no sum reaches 2**60.  Each job takes from a
+    PCG64 seeded by ``seed`` the runtime's standard normal z (if sigma is positive), then the
+    jitter's (if its sigma is positive), as ``mu + sigma * z``; a mixture picks each job's mode
+    with one uniform from that PCG64 jumped ahead (``PCG64.jumped``).  NumPy draws the same
+    numbers however a sequence is split, so ``_DEMAND_BLOCK`` does not change the demands.
     """
     bits = np.random.PCG64(seed)
     normal = np.random.Generator(bits).standard_normal
@@ -203,8 +202,6 @@ def demand_stream(model: ExecModel, noise: NoiseModel, seed: np.random.SeedSeque
     # a jitter without spread is a constant, folded into the overhead with no draw
     offset = noise.base_overhead_us + (0 if jitter_sigma > 0.0 else max(0, round(jitter_mu)))
     width = (sigma > 0.0) + (jitter_sigma > 0.0)
-    exact = max(abs(lo), abs(hi)) + offset < _EXACT
-    jitter = 0.0
     while releases > 0:
         n = min(releases, _DEMAND_BLOCK)
         releases -= n
@@ -212,14 +209,11 @@ def demand_stream(model: ExecModel, noise: NoiseModel, seed: np.random.SeedSeque
         draw = means[np.searchsorted(bounds, uniform(n), side="right")] if uniform else np.full(n, means[-1])
         if sigma > 0.0:
             draw += sigma * z[:, 0]
-        runtime = np.rint(draw)
+        # clipped after the cast, so the bounds compare as integers
+        demand = np.clip(np.rint(draw).astype(np.int64), lo, hi) + offset
         if jitter_sigma > 0.0:
-            jitter = np.maximum(np.rint(jitter_mu + jitter_sigma * z[:, -1]), 0.0)
-        if exact and np.max(jitter) < _EXACT:
-            yield from (np.clip(runtime, lo, hi) + (jitter + offset)).astype(np.int64).tolist()
-        else:  # demands past float precision: clamp and add as Python integers
-            for r, j in zip(runtime.tolist(), np.broadcast_to(jitter, n).tolist()):
-                yield min(max(int(r), lo), hi) + offset + int(j)
+            demand += np.maximum(np.rint(jitter_mu + jitter_sigma * z[:, -1]), 0.0).astype(np.int64)
+        yield from demand.tolist()
 
 
 def gap_stream(seed: np.random.SeedSequence, scale: float) -> Iterator[int]:
@@ -549,7 +543,6 @@ def write_trace_csv(trace: SimTrace, path) -> None:
 
 
 _HEADER = "task,runtime_us\n"
-_US_DIGITS = len(str(MAX_US))
 # _ID_MASKS[k] keeps the first k bytes of a little-endian 8-byte word
 _ID_MASKS = np.array([(1 << 8 * k) - 1 for k in range(8)] + [2**64 - 1], dtype=np.uint64)
 
@@ -625,7 +618,7 @@ def _read_bulk(text: str) -> dict[str, list[int]] | None:
     negative = buf[commas + 1] == ord("-")
     first_digit = commas + 1 + negative
     n_digits = ends - first_digit
-    if n_digits.min() < 1 or n_digits.max() > _US_DIGITS:
+    if n_digits.min() < 1 or n_digits.max() > MAX_US_DIGITS:
         return None
     # rows with n digits are read n columns at a time, so no mask is needed
     magnitude = np.empty(ends.size, dtype=np.int64)

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import json
 import logging
@@ -382,6 +383,8 @@ ANALYZE = ["analyze", str(CAMERA_RUNTIMES), "--period-us", "125000"]
     pytest.param(ANALYZE + ["--threshold", "nan"], "--threshold", id="threshold-nan"),
     pytest.param(["simulate", "--scenario", str(SCENARIO_DIR / "table1_4units.json"), "--bin-width-us", "0"],
                  "--bin-width-us", id="bin-width-0"),
+    pytest.param(["simulate", "--scenario", str(SCENARIO_DIR / "table1_4units.json"), "--bin-width-us",
+                  str(2**53 + 1)], "--bin-width-us", id="bin-width-past-2-53"),
     pytest.param(["simulate", "--scenario", str(SCENARIO_DIR / "table1_4units.json"), "--seed", "-1"],
                  "--seed", id="simulate-seed-neg"),
     # past 2**53, as a scenario's sim.duration_us, a run could not finish
@@ -400,6 +403,42 @@ def test_out_of_range_options_exit_one_with_one_line(argv, option, tmp_path, cap
     assert err.count("\n") == 1
     assert option in err
     assert not out_dir.exists()  # rejected before anything ran
+
+
+# otherwise valid arguments of each subcommand
+VALID_ARGV = {
+    "simulate": ["--scenario", str(SCENARIO_DIR / "table1_4units.json"), "--duration-us", "200000"],
+    "analyze": ANALYZE[1:],
+    "plan": ["--scenario", str(SCENARIO_DIR / "conveyor.json")],
+}
+
+
+def test_every_us_option_is_bounded_at_2_53(tmp_path, capsys):
+    """A ``_us`` option that takes values past 2**53 fails here, whichever subcommand gains it."""
+    subcommands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert subcommands.keys() == VALID_ARGV.keys()
+    checked = []
+    for command, sub in subcommands.items():
+        for action in sub._actions:
+            if not action.dest.endswith("_us"):
+                continue
+            option = action.option_strings[-1]
+            out_dir = tmp_path / f"{command}{option}"
+            argv = [command, *VALID_ARGV[command], option, str(2**53 + 1)]
+            code, out, err = run_cli(argv + (["--out", str(out_dir)] if command == "simulate" else []), capsys)
+            assert (code, out, err.count("\n")) == (1, "", 1), option
+            assert err.startswith(f"error: {option}: "), err
+            assert not out_dir.exists()
+            checked.append(option)
+    assert {"--bin-width-us", "--duration-us", "--period-us"} <= set(checked)
+
+
+def test_a_bin_width_of_2_53_writes_one_bin_per_task(tmp_path, capsys):
+    argv = ["simulate", *VALID_ARGV["simulate"], "--bin-width-us", str(2**53), "--out", str(tmp_path / "run")]
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    rows = (tmp_path / "run" / "histogram.csv").read_text().splitlines()[1:]
+    assert rows == [f"unit_0{i},0,{2**53},1.0" for i in range(4)]
 
 
 @pytest.mark.parametrize("out", ["taken", "taken/run"], ids=["existing-file", "under-a-file"])

@@ -517,6 +517,27 @@ def test_first_fit_raises_when_nothing_fits():
     assert str(err.value) == "task 'blocker' admits on no resource"
 
 
+CONSTANT_4MS = ExecModel(mu_us=4_000, sigma_us=0, cutoff_lo_us=4_000, wcet_us=4_000)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9 stage 1: admission reads utilization, not density")
+def test_first_fit_spreads_constrained_deadlines_by_density():
+    """Each task needs 4 ms within 5 ms: both on one EDF CPU miss one deadline per period."""
+    tasks = [TaskSpec(id=tid, period_us=10_000, budget_us=4_000, exec_model=CONSTANT_4MS, deadline_us=5_000)
+             for tid in ("a", "b")]
+    plan = first_fit_plan(tasks, [mk_cpu("cpu0"), mk_cpu("cpu1")])
+    assert plan["a"] != plan["b"]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9 stage 1: an RM CPU's bound ignores its u_max")
+def test_first_fit_holds_an_rm_cpu_to_its_ceiling():
+    """Neither 0.7 reservation fits under the RM CPU's u_max 0.5, and only one fits on the EDF CPU."""
+    tasks = [TaskSpec(id=tid, period_us=10_000, budget_us=7_000, exec_model=CONSTANT_4MS) for tid in ("a", "b")]
+    cpus = [ResourceState(id="rm0", policy=Policy.RM, u_max=0.5, criticality=Criticality.HARD), mk_cpu("edf1")]
+    with pytest.raises(InfeasibleError):
+        first_fit_plan(tasks, cpus)
+
+
 @st.composite
 def first_fit_systems(draw):
     """EDF/RM CPUs of three ceilings, mixed criticality, and deterministic

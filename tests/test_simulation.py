@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from rtorch import simulation
 from rtorch.model import ExecModel, MixtureMode, Policy, ResourceState, TaskSpec
 from rtorch.probability import NormalParams, joint_utilization, miss_probability
-from rtorch.scenario import load_scenario
+from rtorch.scenario import load_scenario, parse_scenario
 from rtorch.simulation import (
     Interference,
     NoiseModel,
@@ -496,6 +496,10 @@ def test_new_job_completing_before_the_old_one_drains():
     assert (now, assignments["m"], dict(next_deadline)["m"]) == (2_600, "cpu1", 2_000)
 
 
+# the largest model and noise the scenario reader accepts: demands sum well past 2**53
+EDGE_MODEL = ExecModel(mu_us=2**53 - 1, sigma_us=2**40, cutoff_lo_us=0, wcet_us=2**53)
+EDGE_NOISE = NoiseModel(base_overhead_us=2**53, latency_jitter=NormalParams(-2.0**53, 2.0**53))
+
 SAMPLER_CASES = [
     (ExecModel(mu_us=1_000, sigma_us=120, cutoff_lo_us=0, wcet_us=10_000), NoiseModel()),
     (ExecModel(mu_us=1_000, sigma_us=400, cutoff_lo_us=900, wcet_us=1_200),
@@ -505,16 +509,26 @@ SAMPLER_CASES = [
     (ExecModel(mu_us=900, sigma_us=60, cutoff_lo_us=500, wcet_us=2_000,
                mixture=(MixtureMode(0.25, 250), MixtureMode(0.1, -300))),
      NoiseModel(base_overhead_us=80, latency_jitter=NormalParams(12.5, 7.25))),
-    # demands past float64's integers are clamped and summed as Python integers
+    # demands past float64's integers are clamped and summed as integers
     (ExecModel(mu_us=2**60 + 1, sigma_us=3, cutoff_lo_us=2**60 - 1, wcet_us=2**60 + 3,
                mixture=(MixtureMode(0.5, 0),)),
      NoiseModel(base_overhead_us=1)),
-    (ExecModel(mu_us=1_000, sigma_us=50, cutoff_lo_us=900, wcet_us=1_100),
-     NoiseModel(base_overhead_us=7, latency_jitter=NormalParams(-1e300, 1e300))),
+    (EDGE_MODEL, EDGE_NOISE),
     # every jitter draw is exactly 12.5, which rounds half to even
     (ExecModel(mu_us=900, sigma_us=0, cutoff_lo_us=900, wcet_us=900),
      NoiseModel(latency_jitter=NormalParams(12.5, 1e-300))),
 ]
+
+
+def test_the_edge_sampler_case_is_a_scenario_the_reader_accepts():
+    scenario = parse_scenario({
+        "tasks": [{"id": "edge", "period_us": 2**53, "budget_us": 2**53, "criticality": "hard",
+                   "exec_model": {"mu_us": 2**53 - 1, "sigma_us": 2**40, "cutoff_lo_us": 0, "wcet_us": 2**53}}],
+        "resources": [{"id": "cpu0", "policy": "EDF", "u_max": 1.0, "criticality": "hard"}],
+        "sim": {"noise": {"base_overhead_us": 2**53, "latency_jitter": {"mu_us": -2**53, "sigma_us": 2**53}}},
+    })
+    assert scenario.tasks[0].exec_model == EDGE_MODEL
+    assert scenario.sim.noise == EDGE_NOISE
 
 
 @pytest.mark.parametrize("model, noise", SAMPLER_CASES)

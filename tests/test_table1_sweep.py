@@ -1,6 +1,8 @@
 import importlib.util
 import json
 
+import pytest
+
 from conftest import REPO_ROOT, SCENARIO_DIR
 
 
@@ -40,3 +42,14 @@ def test_sweep_places_tasks_as_simulate_does_and_rejects_in_one_line(tmp_path, m
     assert captured.err.startswith(f"error: {tmp_path / 'table1_10units.json'}: task '")
     assert captured.err.endswith("' admits on no resource\n")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("duration", ["0", str(2**53 + 1)])
+def test_sweep_rejects_a_duration_outside_the_scenario_range_before_any_run(duration, monkeypatch, capsys):
+    sweep = _sweep_module()
+    monkeypatch.setattr(sweep, "run_sim", None)  # any run would fail with a TypeError
+    monkeypatch.setattr("sys.argv", ["table1_sweep.py", "--duration-us", duration])
+    assert sweep.main() == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --duration-us: expected integer in [1, 2**53], got {duration}\n"
